@@ -21,7 +21,6 @@ from .hypernet import ArchitectureDescriptor, Forecaster
 from .marginal import inverse_cdf, normalized_cdf
 from .metrics import evaluate_forecaster, pit_values
 from .miso import find_negative_witness
-from .numerics import composite_simpson
 from .parallel import worker_count
 from .training import TrainConfig, train, write_history_csv
 
@@ -306,6 +305,11 @@ def cmd_diagnose_miso(args):
     return 0
 
 
+def _worst(values):
+    """Largest of some scalars or arrays; NaN if any value is NaN, so a check fails."""
+    return float(np.max([np.max(v) for v in values]))
+
+
 def _verify_battery(model, level, seed):
     """Yield (check name, passed, detail) for the invariant battery."""
     rng = np.random.default_rng(seed)
@@ -320,11 +324,12 @@ def _verify_battery(model, level, seed):
     checks.append(("lower corner cdf == 0", abs(v) <= 1e-12, f"{v:.3e}"))
     v = joint_cdf(model, upper)
     checks.append(("upper corner cdf == 1", abs(v - 1.0) <= 1e-12, f"{v - 1.0:.3e}"))
-    worst = 0.0
+    faces = []
     for d in range(model.dim):
         y = upper.copy()
         y[d] = lower[d]
-        worst = max(worst, abs(joint_cdf(model, y)))
+        faces.append(abs(joint_cdf(model, y)))
+    worst = _worst(faces)
     checks.append(("lower faces cdf == 0", worst <= 1e-12, f"{worst:.3e}"))
 
     pts = rand_points(500)
@@ -342,33 +347,36 @@ def _verify_battery(model, level, seed):
         ("cdf monotone on random pairs", bool(np.all(diff >= -1e-12)), f"min diff {diff.min():.3e}")
     )
 
-    worst = 0.0
+    gaps = []
     for d in range(model.dim):
         ys = np.tile(upper, (50, 1))
         ys[:, d] = np.linspace(lower[d], upper[d], 50)
         joint = joint_cdf(model, ys)
         marg = normalized_cdf(model.marginals[d], ys[:, d], model.bounds[d])
-        worst = max(worst, float(np.max(np.abs(joint - marg))))
+        gaps.append(np.abs(joint - marg))
+    worst = _worst(gaps)
     checks.append(("margins reproduce marginal cdf", worst <= 1e-12, f"max {worst:.3e}"))
 
-    worst = 0.0
+    gaps = []
     for d in range(model.dim):
         ps = rng.random(50)
         ys = inverse_cdf(model.marginals[d], ps, model.bounds[d])
         back = normalized_cdf(model.marginals[d], ys, model.bounds[d])
-        worst = max(worst, float(np.max(np.abs(back - ps))))
+        gaps.append(np.abs(back - ps))
+    worst = _worst(gaps)
     checks.append(("quantile/cdf round trip", worst <= 1e-8, f"max {worst:.3e}"))
 
     if level == "full":
         h = 1e-3 * (upper - lower)
         span = upper - lower
         interior = lower + span * (0.05 + 0.9 * rng.random((25, model.dim)))
-        worst = 0.0
+        errors = []
         for y in interior:
             fd = mixed_partial_fd(model, y, h)
             an = joint_pdf(model, y)
             scale = max(abs(an), abs(fd), 1e-12)
-            worst = max(worst, abs(an - fd) / scale)
+            errors.append(abs(an - fd) / scale)
+        worst = _worst(errors)
         checks.append(("density matches FD mixed partial", worst <= 1e-3, f"max rel {worst:.3e}"))
 
         if model.dim <= 3:

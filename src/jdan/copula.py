@@ -19,6 +19,10 @@ on the unit cube, bounded by (0, 2), and the joint density is c at the
 marginal CDF values times the product of marginal densities. A finite
 difference mixed-partial oracle is included so the closed form can always
 be checked against the CDF it claims to differentiate.
+
+A model holds either one shared parameter set or a block of n per-row sets
+(see ``marginal``). A per-row model takes exactly n points, shape (n, D),
+and evaluates point i under parameter row i.
 """
 
 import itertools
@@ -26,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BracketError, ContractError
+from .errors import BracketError, ContractError, EvaluationError
 from .marginal import (
     Bounds,
     MarginalNetParams,
@@ -36,6 +40,9 @@ from .marginal import (
 )
 
 MAX_DIM = 12  # pairs grow quadratically; desk-scale cap
+# a proper copula density accepts half the proposals, so a model that needs
+# this many rounds has a non-finite density, not bad luck
+MAX_REJECTION_ROUNDS = 50
 
 
 def n_pairs(dim):
@@ -49,12 +56,21 @@ def pair_indices(dim):
 
 @dataclass
 class CorrelationParams:
-    """Unconstrained pairwise parameters; tanh squashes them into (-1, 1)."""
+    """Unconstrained pairwise parameters, (pairs,) or (n, pairs) per row.
+
+    tanh squashes them into (-1, 1).
+    """
 
     raw: np.ndarray
 
     def __post_init__(self):
-        self.raw = np.asarray(self.raw, dtype=np.float64).reshape(-1)
+        self.raw = np.atleast_1d(np.asarray(self.raw, dtype=np.float64))
+        if self.raw.ndim > 2:
+            raise ContractError("correlations carry at most one leading row axis")
+
+    @property
+    def rows(self):
+        return self.raw.shape[0] if self.raw.ndim == 2 else None
 
     def effective(self):
         return np.tanh(self.raw)
@@ -76,11 +92,29 @@ class JdanModel:
             raise ContractError(f"dimension {self.dim} exceeds the supported cap {MAX_DIM}")
         if len(self.marginals) != self.dim or len(self.bounds) != self.dim:
             raise ContractError("need one marginal net and one bounds pair per dimension")
-        if self.correlations.raw.size != n_pairs(self.dim):
+        if self.correlations.raw.shape[-1] != n_pairs(self.dim):
             raise ContractError(
                 f"expected {n_pairs(self.dim)} correlation parameters, "
-                f"got {self.correlations.raw.size}"
+                f"got {self.correlations.raw.shape[-1]}"
             )
+        if any(m.rows != self.rows for m in self.marginals):
+            raise ContractError("marginals and correlations disagree on the parameter rows")
+
+    @property
+    def rows(self):
+        """Number of per-row parameter sets, or None for one shared set."""
+        return self.correlations.rows
+
+    def take(self, rows):
+        """The parameter rows selected by `rows`; a shared model is returned as is."""
+        if self.rows is None:
+            return self
+        return JdanModel(
+            dim=self.dim,
+            marginals=[m.take(rows) for m in self.marginals],
+            correlations=CorrelationParams(raw=self.correlations.raw[rows]),
+            bounds=self.bounds,
+        )
 
     def box_lower(self):
         return np.array([b.lower for b in self.bounds])
@@ -89,38 +123,46 @@ class JdanModel:
         return np.array([b.upper for b in self.bounds])
 
 
-def _as_points(y, dim):
+def _as_points(y, dim, rows=None):
     y = np.asarray(y, dtype=np.float64)
     scalar = y.ndim == 1
     pts = np.atleast_2d(y)
-    if pts.shape[1] != dim:
+    if pts.ndim != 2 or pts.shape[1] != dim:
         raise ContractError(f"points must have {dim} coordinates, got shape {y.shape}")
+    if rows is not None and pts.shape[0] != rows:
+        raise ContractError(f"{rows} parameter rows need {rows} points, got {pts.shape[0]}")
     return pts, scalar
 
 
 def marginal_cdf_values(model: JdanModel, y):
     """Per-dimension CDF values F_d(y_d), clamping to the box."""
-    pts, scalar = _as_points(y, model.dim)
+    pts, scalar = _as_points(y, model.dim, model.rows)
     u = np.column_stack(
         [normalized_cdf(model.marginals[d], pts[:, d], model.bounds[d]) for d in range(model.dim)]
     )
     return u[0] if scalar else u
 
 
+def _pair_terms(corr: CorrelationParams, u):
+    """(points, effective correlations, pairs) after checking their shapes agree."""
+    pts = np.atleast_2d(u)
+    pairs = pair_indices(pts.shape[1])
+    if corr.raw.shape[-1] != len(pairs):
+        raise ContractError("correlation size does not match point dimension")
+    if corr.rows is not None and corr.rows != pts.shape[0]:
+        raise ContractError(f"{corr.rows} correlation rows need {corr.rows} points")
+    return pts, corr.effective(), pairs
+
+
 def copula_cdf(corr: CorrelationParams, u):
     """The combiner itself, evaluated on unit-cube coordinates."""
     u = np.asarray(u, dtype=np.float64)
     scalar = u.ndim == 1
-    pts = np.atleast_2d(u)
-    dim = pts.shape[1]
-    pairs = pair_indices(dim)
-    if corr.raw.size != len(pairs):
-        raise ContractError("correlation size does not match point dimension")
-    c = corr.effective()
+    pts, c, pairs = _pair_terms(corr, u)
     v = 1.0 - pts
     s = np.zeros(pts.shape[0])
     for k, (d, i) in enumerate(pairs):
-        s += c[k] * v[:, d] * v[:, i]
+        s += c[..., k] * v[:, d] * v[:, i]
     out = pts.prod(axis=1) * (1.0 + s / len(pairs))
     return float(out[0]) if scalar else out
 
@@ -129,16 +171,11 @@ def copula_density(corr: CorrelationParams, u):
     """Mixed partial of the combiner over all coordinates; lies in (0, 2)."""
     u = np.asarray(u, dtype=np.float64)
     scalar = u.ndim == 1
-    pts = np.atleast_2d(u)
-    dim = pts.shape[1]
-    pairs = pair_indices(dim)
-    if corr.raw.size != len(pairs):
-        raise ContractError("correlation size does not match point dimension")
-    c = corr.effective()
+    pts, c, pairs = _pair_terms(corr, u)
     m = 1.0 - 2.0 * pts
     s = np.zeros(pts.shape[0])
     for k, (d, i) in enumerate(pairs):
-        s += c[k] * m[:, d] * m[:, i]
+        s += c[..., k] * m[:, d] * m[:, i]
     out = 1.0 + s / len(pairs)
     return float(out[0]) if scalar else out
 
@@ -150,7 +187,7 @@ def joint_cdf(model: JdanModel, y):
 
 def joint_pdf(model: JdanModel, y):
     """Joint density: copula density at the CDF values times marginal densities."""
-    pts, scalar = _as_points(y, model.dim)
+    pts, scalar = _as_points(y, model.dim, model.rows)
     u = marginal_cdf_values(model, pts)
     dens = copula_density(model.correlations, u)
     for d in range(model.dim):
@@ -178,27 +215,67 @@ def mixed_partial_fd(model: JdanModel, y, h):
     return float((weights * vals).sum() / np.prod(2.0 * steps))
 
 
+def _accepted_uniforms(corr: CorrelationParams, dim, n, rngs):
+    """(len(rngs), n, dim) unit-cube points; row r rejection-sampled with rngs[r].
+
+    Row r is drawn from correlation row r of a per-row ``corr``, or from the
+    shared density. Proposals are accepted against the copula density with
+    the provable envelope constant 2 (acceptance rate one half), and every
+    row consumes its own stream exactly as a one-row call would, so a row's
+    points do not depend on which other rows are drawn with it. A density
+    that never accepts (a non-finite one) raises EvaluationError after
+    MAX_REJECTION_ROUNDS rounds.
+    """
+    rows = len(rngs)
+    kept = [[] for _ in range(rows)]
+    have = np.zeros(rows, dtype=int)
+    for _ in range(MAX_REJECTION_ROUNDS):
+        short = np.flatnonzero(have < n)
+        if short.size == 0:
+            return np.stack([np.concatenate(k, axis=0)[:n] for k in kept])
+        counts = np.ceil((n - have[short]) * 2.2).astype(int) + 16
+        u, coin = [], []
+        for r, m in zip(short, counts):
+            u.append(rngs[r].uniform(size=(m, dim)))
+            coin.append(rngs[r].uniform(size=m))
+        u = np.concatenate(u, axis=0)
+        c = corr
+        if corr.rows is not None:  # one correlation row per proposal
+            c = CorrelationParams(raw=np.repeat(corr.raw[short], counts, axis=0))
+        keep = np.concatenate(coin) < copula_density(c, u) / 2.0
+        cuts = np.cumsum(counts)[:-1]
+        for r, ur, kr in zip(short, np.split(u, cuts), np.split(keep, cuts)):
+            kept[r].append(ur[kr])
+            have[r] += int(kr.sum())
+    raise EvaluationError(
+        f"rejection sampling accepted too few proposals in {MAX_REJECTION_ROUNDS} rounds; "
+        "the copula density is not finite"
+    )
+
+
 def sample(model: JdanModel, n, seed):
     """Draw n rows from the joint density, reproducibly for a given seed.
 
-    Unit-cube proposals are rejection-sampled against the copula density with
-    the provable envelope constant 2 (acceptance rate at least one half), then
-    pushed through each marginal quantile function.
+    Unit-cube proposals are rejection-sampled against the copula density,
+    then pushed through each marginal quantile function. With one seed the
+    result is (n, D) from a shared model. With a sequence of seeds it is
+    (len(seed), n, D): block r is drawn with seed[r] from parameter row r
+    (or the shared set), exactly as a one-seed call for that row would
+    draw it, and all rows are inverted together.
     """
     if n < 1:
         raise ContractError("need at least one sample")
-    rng = np.random.default_rng(seed)
-    accepted = []
-    have = 0
-    while have < n:
-        m = int(np.ceil((n - have) * 2.2)) + 16
-        u = rng.uniform(size=(m, model.dim))
-        keep = rng.uniform(size=m) < copula_density(model.correlations, u) / 2.0
-        kept = u[keep]
-        accepted.append(kept)
-        have += kept.shape[0]
-    u = np.concatenate(accepted, axis=0)[:n]
+    single = np.ndim(seed) == 0
+    seeds = [seed] if single else list(seed)
+    if single and model.rows is not None:
+        raise ContractError("a per-row model needs one seed per parameter row")
+    if model.rows not in (None, len(seeds)):
+        raise ContractError(f"{model.rows} parameter rows need {model.rows} seeds")
+    rngs = [np.random.default_rng(s) for s in seeds]
+    u = _accepted_uniforms(model.correlations, model.dim, n, rngs)
+    if single:
+        u = u[0]
     cols = [
-        inverse_cdf(model.marginals[d], u[:, d], model.bounds[d]) for d in range(model.dim)
+        inverse_cdf(model.marginals[d], u[..., d], model.bounds[d]) for d in range(model.dim)
     ]
-    return np.column_stack(cols)
+    return np.stack(cols, axis=-1)

@@ -5,8 +5,9 @@ unconstrained reals, partitioned as: marginal 1 weight layers (row-major),
 marginal 1 bias layers, marginal 2 weights, marginal 2 biases, ..., then
 the pairwise correlation parameters. ``materialize`` reshapes such a
 vector into a model (positivity/tanh squashes are applied downstream at
-evaluation, so every raw vector yields a valid model) and ``flatten``
-inverts it exactly.
+evaluation, so every finite raw vector yields a valid model) and
+``flatten`` inverts it exactly. A block of n raw vectors, shape (n, P),
+becomes one model whose parameters carry a leading row axis.
 
 A ConditioningNet maps a forecast feature vector to that raw vector, which
 makes the predicted joint density depend on the features. With input_dim 0
@@ -20,7 +21,7 @@ import numpy as np
 
 from .activations import KINDS, act_eval
 from .copula import MAX_DIM, CorrelationParams, JdanModel, n_pairs
-from .errors import ContractError
+from .errors import ConfigError, ContractError, EvaluationError
 from .marginal import Bounds, MarginalNetParams
 
 DEFAULT_MARGINAL_HIDDEN = [10, 10]
@@ -92,17 +93,24 @@ class ArchitectureDescriptor:
 
 
 def materialize(raw, arch: ArchitectureDescriptor) -> JdanModel:
-    """Reshape a flat raw vector into a model. Total: no raw vector is invalid."""
-    raw = np.asarray(raw, dtype=np.float64).reshape(-1)
-    if raw.size != arch.param_count():
+    """Reshape a raw vector (P,), or a block of per-row vectors (n, P), into a model.
+
+    Every finite raw vector is valid; a non-finite entry raises ConfigError.
+    """
+    raw = np.asarray(raw, dtype=np.float64)
+    if raw.ndim not in (1, 2) or raw.shape[-1] != arch.param_count():
         raise ContractError(
-            f"raw vector has {raw.size} entries; architecture needs {arch.param_count()}"
+            f"raw parameters have shape {raw.shape}; architecture needs "
+            f"({arch.param_count()},) or (n, {arch.param_count()})"
         )
+    if not np.all(np.isfinite(raw)):
+        raise ConfigError("raw parameters must be finite")
+    lead = raw.shape[:-1]
     spans, corr_span = arch.partition()
     marginals = []
     for d, (w_spans, b_spans) in enumerate(spans):
-        weights = [raw[a:b].reshape(shape) for a, b, shape in w_spans]
-        biases = [raw[a:b] for a, b in b_spans]
+        weights = [raw[..., a:b].reshape(lead + shape) for a, b, shape in w_spans]
+        biases = [raw[..., a:b] for a, b in b_spans]
         marginals.append(
             MarginalNetParams(
                 layer_sizes=arch.marginal_layer_sizes(d),
@@ -111,7 +119,7 @@ def materialize(raw, arch: ArchitectureDescriptor) -> JdanModel:
                 activation=arch.activations[d],
             )
         )
-    corr = CorrelationParams(raw=raw[corr_span[0]:corr_span[1]])
+    corr = CorrelationParams(raw=raw[..., corr_span[0]:corr_span[1]])
     return JdanModel(dim=arch.dim, marginals=marginals, correlations=corr, bounds=list(arch.bounds))
 
 
@@ -119,10 +127,10 @@ def flatten(model: JdanModel) -> np.ndarray:
     """Inverse of materialize: concatenate raw parameters in partition order."""
     chunks = []
     for m in model.marginals:
-        chunks.extend(w.reshape(-1) for w in m.raw_weights)
+        chunks.extend(w.reshape(w.shape[:-2] + (-1,)) for w in m.raw_weights)
         chunks.extend(m.biases)
     chunks.append(model.correlations.raw)
-    return np.concatenate(chunks)
+    return np.concatenate(chunks, axis=-1)
 
 
 @dataclass
@@ -228,11 +236,20 @@ class Forecaster:
         return self.net.input_dim > 0
 
     def model_for(self, x=None) -> JdanModel:
+        """The model for one feature vector (F,), or a per-row model for a block (n, F).
+
+        An unconditional forecaster returns its one shared model whatever x is.
+        """
         if not self.conditional:
             return self._fixed
         if x is None:
             raise ContractError("a conditional model needs a feature vector")
-        x = np.asarray(x, dtype=np.float64).reshape(-1)
+        x = np.atleast_1d(np.asarray(x, dtype=np.float64))
+        if x.ndim > 2:
+            raise ContractError("features must be a vector or a (rows, features) block")
         if self.feature_scaler is not None:
             x = self.feature_scaler.transform(x)
-        return materialize(nfn_forward(self.net, x), self.arch)
+        raw = nfn_forward(self.net, x)
+        if not np.all(np.isfinite(raw)):
+            raise EvaluationError("the conditioning net emitted non-finite parameters")
+        return materialize(raw, self.arch)

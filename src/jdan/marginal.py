@@ -9,6 +9,11 @@ at the support bounds [L, U] turns it into a proper CDF on [L, U]:
 
 The input-derivative of the network is available in closed form, so the
 marginal density comes for free and stays nonnegative by construction.
+
+Parameters are either one shared set, weights (out, in) and biases (out,),
+or a block of n per-row sets, weights (n, out, in) and biases (n, out). With
+a block, every function here takes points whose leading axis has length n,
+shape (n,) or (n, k), and evaluates row i's points under row i's parameters.
 """
 
 from dataclasses import dataclass
@@ -62,6 +67,7 @@ class MarginalNetParams:
     ``positivity_map`` at evaluation time. Biases are unconstrained.
     The hidden activation is shared across hidden layers; the output
     layer is always linear (normalization makes squashing redundant).
+    A parameter block adds one leading row axis to every weight and bias.
     """
 
     layer_sizes: list
@@ -77,57 +83,101 @@ class MarginalNetParams:
             raise ContractError("marginal nets map one scalar to one scalar")
         if len(self.raw_weights) != len(sizes) - 1 or len(self.biases) != len(sizes) - 1:
             raise ContractError("need one weight matrix and bias vector per layer")
+        lead = self.raw_weights[0].shape[:-2]
+        if len(lead) > 1:
+            raise ContractError("parameters carry at most one leading row axis")
         for k, (w, b) in enumerate(zip(self.raw_weights, self.biases)):
-            if w.shape != (sizes[k + 1], sizes[k]) or b.shape != (sizes[k + 1],):
+            if w.shape != lead + (sizes[k + 1], sizes[k]) or b.shape != lead + (sizes[k + 1],):
                 raise ContractError(f"layer {k} parameter shape mismatch")
+
+    @property
+    def rows(self):
+        """Number of per-row parameter sets, or None for one shared set."""
+        w = self.raw_weights[0]
+        return w.shape[0] if w.ndim == 3 else None
+
+    def take(self, rows):
+        """The parameter rows selected by `rows`; a shared set is returned as is."""
+        if self.rows is None:
+            return self
+        return MarginalNetParams(
+            layer_sizes=self.layer_sizes,
+            raw_weights=[w[rows] for w in self.raw_weights],
+            biases=[b[rows] for b in self.biases],
+            activation=self.activation,
+        )
 
     def effective_weights(self):
         return [positivity_map(w) for w in self.raw_weights]
 
 
-def _as_column(y):
+def _as_column(params, y):
+    """Points as a column per parameter row: (m, 1) shared, (n, k, 1) per row."""
     y = np.asarray(y, dtype=np.float64)
-    return y.reshape(-1, 1), y.shape
+    if params.rows is None:
+        return y.reshape(-1, 1), y.shape
+    if y.shape[:1] != (params.rows,) or y.ndim > 2:
+        raise ContractError(
+            f"{params.rows} parameter rows need points of shape ({params.rows},) or "
+            f"({params.rows}, k), got {y.shape}"
+        )
+    return y.reshape(params.rows, -1, 1), y.shape
+
+
+def _layer(a, w, b):
+    """a @ w^T + b for a shared (out, in) or per-row (n, out, in) weight."""
+    return a @ np.swapaxes(w, -1, -2) + b[..., None, :]
+
+
+def _per_row(v, y):
+    """Broadcast a per-row value (shape () or (n,)) against points y."""
+    v = np.asarray(v)
+    return v.reshape(v.shape + (1,) * (np.ndim(y) - v.ndim))
+
+
+def _at(params, value):
+    """One copy of `value` per parameter row (a scalar for a shared set)."""
+    return value if params.rows is None else np.full(params.rows, value)
 
 
 def forward(params: MarginalNetParams, y):
     """Raw network output psi(y). Nondecreasing in y. Accepts scalars or arrays."""
-    col, shape = _as_column(y)
-    a = col
+    a, shape = _as_column(params, y)
     n_layers = len(params.raw_weights)
     for k, (rw, b) in enumerate(zip(params.raw_weights, params.biases)):
-        pre = a @ positivity_map(rw).T + b
+        pre = _layer(a, positivity_map(rw), b)
         a = pre if k == n_layers - 1 else activations.act_eval(params.activation, pre)
         if not np.all(np.isfinite(a)):
             raise EvaluationError(f"non-finite activation in marginal layer {k}", layer=k)
-    out = a[:, 0].reshape(shape)
+    out = a[..., 0].reshape(shape)
     return float(out) if out.ndim == 0 else out
 
 
 def d_forward(params: MarginalNetParams, y):
     """Analytic d psi / d y via the layer-by-layer chain rule. Always >= 0."""
-    col, shape = _as_column(y)
-    a = col
-    dchain = np.ones_like(col)
+    a, shape = _as_column(params, y)
+    dchain = np.ones_like(a)
     n_layers = len(params.raw_weights)
     for k, (rw, b) in enumerate(zip(params.raw_weights, params.biases)):
         w = positivity_map(rw)
-        pre = a @ w.T + b
-        dpre = dchain @ w.T
+        pre = _layer(a, w, b)
+        dpre = dchain @ np.swapaxes(w, -1, -2)
         if k == n_layers - 1:
             a, dchain = pre, dpre
         else:
             a = activations.act_eval(params.activation, pre)
             dchain = activations.act_d1(params.activation, pre) * dpre
-    out = dchain[:, 0].reshape(shape)
+    out = dchain[..., 0].reshape(shape)
     return float(out) if out.ndim == 0 else out
 
 
 def _denominator(params, b: Bounds):
-    span = forward(params, b.upper) - forward(params, b.lower)
-    if span < DENOM_EPS:
+    """psi(U) - psi(L): a float, or one span per parameter row."""
+    span = forward(params, _at(params, b.upper)) - forward(params, _at(params, b.lower))
+    if np.any(span < DENOM_EPS):
+        flat = float(np.min(span))
         raise DegenerateMarginalError(
-            f"marginal is flat over [{b.lower}, {b.upper}] (span {span:.3e}); "
+            f"marginal is flat over [{b.lower}, {b.upper}] (span {flat:.3e}); "
             "the model cannot represent a distribution on these bounds"
         )
     return span
@@ -137,8 +187,8 @@ def normalized_cdf(params: MarginalNetParams, y, b: Bounds):
     """CDF on [L, U]: exactly 0 at L, exactly 1 at U; inputs outside are clamped."""
     y_arr = np.asarray(y, dtype=np.float64)
     yc = np.clip(y_arr, b.lower, b.upper)
-    den = _denominator(params, b)
-    raw = (forward(params, yc) - forward(params, b.lower)) / den
+    den = _per_row(_denominator(params, b), y_arr)
+    raw = (forward(params, yc) - _per_row(forward(params, _at(params, b.lower)), y_arr)) / den
     # batched BLAS paths can differ from the scalar path by an ulp, so pin the
     # endpoints explicitly and clip the drift instead of trusting x - x == 0
     out = np.clip(raw, 0.0, 1.0)
@@ -149,7 +199,7 @@ def normalized_cdf(params: MarginalNetParams, y, b: Bounds):
 def normalized_pdf(params: MarginalNetParams, y, b: Bounds):
     """Density on [L, U]: d psi / dy over the normalizing span; 0 outside."""
     y = np.asarray(y, dtype=np.float64)
-    den = _denominator(params, b)
+    den = _per_row(_denominator(params, b), y)
     out = d_forward(params, y) / den
     inside = (y >= b.lower) & (y <= b.upper)
     out = np.where(inside, out, 0.0)

@@ -1,5 +1,9 @@
 """Probabilistic-forecast evaluation: log score, CRPS, PIT, energy score.
 
+Every metric evaluates all rows at once: a conditional forecaster yields
+one per-row parameter block for the rows' features, which is scored in
+fixed-size row chunks.
+
 Bounds policy: the model's support is fixed at training time. Test targets
 outside it are excluded from the log score (and counted) and clamped to
 the support for the CDF-based metrics, so a stray observation degrades the
@@ -16,11 +20,13 @@ from .data import clamp_to_bounds, in_bounds_mask
 from .errors import ContractError
 from .hypernet import Forecaster
 from .marginal import normalized_cdf
-from .numerics import composite_simpson, ks_statistic
-from .parallel import ordered_map
+from .numerics import ks_statistic
 from .training import LOG_EPS
 
 CRPS_INTERVALS = 256  # total Simpson subintervals per observation
+# Rows are scored in chunks of about this many evaluation points: one batched
+# call per chunk is fast, and the chunk bounds the working memory.
+CHUNK_POINTS = 16384
 
 
 @dataclass
@@ -58,14 +64,20 @@ class MetricsReport:
         return "\n".join(lines)
 
 
-def _models_for(fc: Forecaster, features, n):
-    """One model per row (shared instance when unconditional)."""
-    if not fc.conditional:
-        m = fc.model_for()
-        return [m] * n
-    if features is None:
+def _model_for_rows(fc: Forecaster, features, n):
+    """One model for n rows: per-row parameters if conditional, else the shared set."""
+    if fc.conditional and features is None:
         raise ContractError("conditional forecaster needs features")
-    return ordered_map(lambda x: fc.model_for(x), list(np.atleast_2d(features)))
+    model = fc.model_for(np.atleast_2d(features) if fc.conditional else None)
+    if model.rows not in (None, n):
+        raise ContractError(f"{model.rows} feature rows for {n} target rows")
+    return model
+
+
+def _row_chunks(n, points_per_row):
+    """Row slices holding about CHUNK_POINTS evaluation points each."""
+    step = max(1, CHUNK_POINTS // points_per_row)
+    return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
 
 def log_score(fc: Forecaster, targets, features=None):
@@ -79,17 +91,15 @@ def log_score(fc: Forecaster, targets, features=None):
     n_excluded = int((~keep).sum())
     targets = targets[keep]
     feats = None if features is None else np.atleast_2d(features)[keep]
-    if targets.shape[0] == 0:
+    n = targets.shape[0]
+    if n == 0:
         raise ContractError("no in-bounds rows to score")
-    models = _models_for(fc, feats, targets.shape[0])
-    if not fc.conditional:
-        dens = joint_pdf(models[0], targets)
-    else:
-        dens = np.array(
-            ordered_map(lambda mi: float(joint_pdf(mi[0], mi[1])), list(zip(models, targets)))
-        )
+    model = _model_for_rows(fc, feats, n)
+    dens = np.empty(n)
+    for rows in _row_chunks(n, 1):
+        dens[rows] = joint_pdf(model.take(rows), targets[rows])
     value = float(np.mean(np.log(dens + LOG_EPS)))
-    return value, targets.shape[0], n_excluded
+    return value, n, n_excluded
 
 
 def crps_marginal(fc: Forecaster, targets, dim, features=None):
@@ -97,49 +107,41 @@ def crps_marginal(fc: Forecaster, targets, dim, features=None):
 
     The integrand has a jump at the observation, so Simpson is applied
     separately below and above it (half the subintervals each); quadrature
-    across the kink would waste its accuracy.
+    across the kink would waste its accuracy. Both halves of every row in a
+    chunk are evaluated in one call.
     """
     targets = clamp_to_bounds(np.atleast_2d(targets), fc.arch.bounds)
     b = fc.arch.bounds[dim]
-    models = _models_for(fc, features, targets.shape[0])
-
-    def one(args):
-        model, y = args
-        params = model.marginals[dim]
-        yd = float(y[dim])
-        below = composite_simpson(
-            lambda t: normalized_cdf(params, t, b) ** 2,
-            b.lower, yd, CRPS_INTERVALS // 2,
-        )
-        above = composite_simpson(
-            lambda t: (normalized_cdf(params, t, b) - 1.0) ** 2,
-            yd, b.upper, CRPS_INTERVALS // 2,
-        )
-        return below + above
-
-    return float(np.mean(ordered_map(one, list(zip(models, targets)))))
+    n = targets.shape[0]
+    model = _model_for_rows(fc, features, n)
+    half = CRPS_INTERVALS // 2
+    weights = np.ones(half + 1)
+    weights[1:-1:2] = 4.0
+    weights[2:-1:2] = 2.0
+    out = np.empty(n)
+    for rows in _row_chunks(n, 2 * (half + 1)):
+        y = targets[rows, dim]
+        below_nodes = np.linspace(b.lower, y, half + 1, axis=-1)
+        above_nodes = np.linspace(y, b.upper, half + 1, axis=-1)
+        nodes = np.concatenate([below_nodes, above_nodes], axis=-1)
+        cdf = normalized_cdf(model.take(rows).marginals[dim], nodes, b)
+        below = (cdf[:, :half + 1] ** 2) @ weights * ((y - b.lower) / half / 3.0)
+        above = ((cdf[:, half + 1:] - 1.0) ** 2) @ weights * ((b.upper - y) / half / 3.0)
+        out[rows] = below + above
+    return float(np.mean(out))
 
 
 def pit_values(fc: Forecaster, targets, features=None):
     """Matrix of per-dimension PIT values: u[i, d] = CDF_d(y[i, d])."""
     targets = clamp_to_bounds(np.atleast_2d(targets), fc.arch.bounds)
     n, dimension = targets.shape
-    models = _models_for(fc, features, n)
-    if not fc.conditional:
-        m = models[0]
-        cols = [
-            normalized_cdf(m.marginals[d], targets[:, d], fc.arch.bounds[d])
-            for d in range(dimension)
-        ]
-        return np.column_stack(cols)
-    rows = ordered_map(
-        lambda mi: [
-            normalized_cdf(mi[0].marginals[d], float(mi[1][d]), fc.arch.bounds[d])
-            for d in range(dimension)
-        ],
-        list(zip(models, targets)),
-    )
-    return np.asarray(rows, dtype=np.float64)
+    model = _model_for_rows(fc, features, n)
+    out = np.empty((n, dimension))
+    for rows in _row_chunks(n, 1):
+        part = model.take(rows)
+        for d in range(dimension):
+            out[rows, d] = normalized_cdf(part.marginals[d], targets[rows, d], fc.arch.bounds[d])
+    return out
 
 
 def pit_ks(fc: Forecaster, targets, dim, features=None):
@@ -161,16 +163,19 @@ def energy_score(fc: Forecaster, targets, features=None, m_samples=200, seed=0):
         raise ContractError("energy score needs m_samples >= 2")
     targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
     n = targets.shape[0]
-    models = _models_for(fc, features, n)
+    model = _model_for_rows(fc, features, n)
     row_seeds = np.random.SeedSequence(seed).spawn(n)
-
-    def one(i):
-        s = copula_sample(models[i], m_samples, row_seeds[i])
-        to_obs = np.linalg.norm(s - targets[i], axis=1).mean()
-        pairwise = np.linalg.norm(s[:, None, :] - s[None, :, :], axis=2).sum()
-        return to_obs - pairwise / (2.0 * m_samples**2)
-
-    return float(np.mean(ordered_map(one, range(n))))
+    out = np.empty(n)
+    for rows in _row_chunks(n, m_samples):
+        s = copula_sample(model.take(rows), m_samples, row_seeds[rows])
+        to_obs = np.linalg.norm(s - targets[rows, None, :], axis=-1).mean(axis=-1)
+        spread = np.empty_like(to_obs)
+        for pairs in _row_chunks(s.shape[0], m_samples**2):
+            t = s[pairs]
+            dist = np.linalg.norm(t[:, :, None, :] - t[:, None, :, :], axis=-1)
+            spread[pairs] = dist.reshape(t.shape[0], -1).sum(axis=-1)
+        out[rows] = to_obs - spread / (2.0 * m_samples**2)
+    return float(np.mean(out))
 
 
 def evaluate_forecaster(

@@ -89,6 +89,12 @@ def forecaster_to_doc(fc: Forecaster, data_spec=None, training_state=None):
     return doc
 
 
+def _require_finite(what, arrays):
+    """JSON admits NaN and Infinity; a model document must not."""
+    if not all(np.all(np.isfinite(a)) for a in arrays):
+        raise ConfigError(f"model document has non-finite {what}")
+
+
 def doc_to_forecaster(doc) -> Forecaster:
     if doc.get("version") != MODEL_VERSION:
         raise ConfigError(
@@ -106,10 +112,12 @@ def doc_to_forecaster(doc) -> Forecaster:
             biases=[np.asarray(b, dtype=np.float64) for b in c["biases"]],
             activation=c.get("activation", "sigmoid"),
         )
+        _require_finite("conditioning parameters", net.parameters())
         scaler = None
         if "feature_scaling" in doc:
             s = doc["feature_scaling"]
             scaler = ColumnScaler(shift=s["shift"], scale=s["scale"])
+            _require_finite("feature scaling", [scaler.shift, scaler.scale])
         return Forecaster(net, arch, feature_scaler=scaler)
     if "marginals" not in doc or "correlations" not in doc:
         raise ConfigError("unconditional model document lacks marginals/correlations")
@@ -136,7 +144,7 @@ def doc_to_forecaster(doc) -> Forecaster:
     if raw.size != arch.param_count():
         raise ConfigError("stored parameters do not match the stored architecture")
     net = ConditioningNet(input_dim=0, raw=raw)
-    return Forecaster(net, arch)
+    return Forecaster(net, arch)  # materialize rejects non-finite parameters
 
 
 def save_model(path, fc: Forecaster, data_spec=None, training_state=None):

@@ -314,6 +314,72 @@ def test_conditional_round_trip(tmp_path):
                  "--seed", "0", "--quiet"]) == 0
 
 
+def _edited_doc(src, dest, edit):
+    with open(src, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    edit(doc)
+    dest.write_text(json.dumps(doc), encoding="utf-8")  # json writes NaN as NaN
+    return str(dest)
+
+
+def test_non_finite_model_documents_exit_2(trained, tmp_path):
+    def nan_corr(doc):
+        doc["correlations"]["raw"][0] = float("nan")
+
+    def inf_bias(doc):
+        doc["marginals"][1]["biases"][0][0] = float("inf")
+
+    test_csv = write_uniform_csv(tmp_path / "t.csv", n=30, seed=2)
+    for k, edit in enumerate((nan_corr, inf_bias)):
+        model = _edited_doc(trained["model"], tmp_path / f"bad{k}.json", edit)
+        assert main(["evaluate", "--model", model, "--data", str(test_csv),
+                     "--quiet", "--out", str(tmp_path / "r.json")]) == 2
+        assert main(["sample", "--model", model, "-n", "20", "--seed", "0",
+                     "--quiet", "--out", str(tmp_path / "s.csv")]) == 2
+        assert main(["verify", "--model", model, "--seed", "0", "--quiet"]) == 2
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_non_finite_conditional_documents(tmp_path):
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    source = os.path.join(root, "runs", "conditional_d2_model.json")
+    with open(os.path.join(root, "data", "conditional_d2.csv"), encoding="utf-8") as fh:
+        rows = tmp_path / "rows.csv"
+        rows.write_text("".join(fh.readlines()[:6]), encoding="utf-8")
+
+    def nan_weight(doc):
+        doc["conditioning"]["weights"][0][0][0] = float("nan")
+
+    def nan_scaling(doc):
+        doc["feature_scaling"]["shift"][0] = float("nan")
+
+    def overflow(doc):  # finite weights whose output layer overflows
+        w = doc["conditioning"]["weights"][-1]
+        doc["conditioning"]["weights"][-1] = [[1e308] * len(r) for r in w]
+
+    for k, edit in enumerate((nan_weight, nan_scaling)):
+        model = _edited_doc(source, tmp_path / f"bad{k}.json", edit)
+        assert main(["sample", "--model", model, "-n", "5", "--seed", "0",
+                     "--features", "0.2", "--quiet", "--out", str(tmp_path / "s.csv")]) == 2
+    model = _edited_doc(source, tmp_path / "overflow.json", overflow)
+    assert main(["verify", "--model", model, "--features", "0.2", "--quiet"]) == 3
+    assert main(["evaluate", "--model", model, "--data", str(rows), "--no-energy",
+                 "--quiet", "--out", str(tmp_path / "r.json")]) == 3
+
+
+def test_verify_battery_fails_on_nan(trained):
+    from jdan.cli import _verify_battery
+    from jdan.copula import CorrelationParams
+    from jdan.model_io import load_model
+
+    model = load_model(trained["model"])[0].model_for()
+    model.correlations = CorrelationParams(raw=[np.nan])
+    results = {name: ok for name, ok, _ in _verify_battery(model, "quick", 0)}
+    assert not results["lower faces cdf == 0"]
+    assert not results["margins reproduce marginal cdf"]
+    assert results["quantile/cdf round trip"]  # the marginals are intact
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["not-a-command"])

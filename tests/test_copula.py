@@ -1,6 +1,7 @@
 """Joint CDF/density: validity, closed-form density vs FD oracle, sampling."""
 
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -18,10 +19,11 @@ from jdan.copula import (
     pair_indices,
     sample,
 )
-from jdan.errors import BracketError, ContractError
+from jdan.errors import BracketError, ContractError, JdanError
+from jdan.hypernet import materialize
 from jdan.marginal import Bounds, MarginalNetParams, normalized_cdf
 
-from conftest import interior_points, random_model
+from conftest import interior_points, random_model, unit_arch
 
 
 def linear_model(dim=2, corr=0.0):
@@ -222,6 +224,38 @@ def test_sample_shape_seed_determinism():
     assert not np.array_equal(a, c)
     lo, hi = model.box_lower(), model.box_upper()
     assert np.all(a >= lo) and np.all(a <= hi)
+
+
+def test_sampler_stops_on_nan_correlation():
+    # a NaN density never accepts a proposal; the rejection loop must give up
+    model = linear_model(dim=2)
+    model.correlations = CorrelationParams(raw=[np.nan])
+    start = time.perf_counter()
+    with pytest.raises(JdanError):
+        sample(model, 50, seed=0)
+    with pytest.raises(JdanError):
+        sample(model, 50, seed=[0, 1, 2])
+    block = materialize(np.zeros((3, 2 * 4 + 1)), unit_arch(2, hidden=(1,)))
+    block.correlations = CorrelationParams(raw=[[0.2], [np.nan], [-0.3]])
+    with pytest.raises(JdanError):
+        sample(block, 50, seed=[0, 1, 2])
+    assert time.perf_counter() - start < 10.0
+
+
+def test_per_row_sample_rows_follow_their_own_streams():
+    rng = np.random.default_rng(4)
+    arch = unit_arch(3, hidden=(4,))
+    raws = rng.normal(size=(3, arch.param_count()))
+    block = sample(materialize(raws, arch), 40, seed=[10, 11, 12])
+    assert block.shape == (3, 40, 3)
+    for k in range(3):
+        alone = sample(materialize(raws[k], arch), 40, seed=10 + k)
+        np.testing.assert_allclose(block[k], alone, rtol=1e-9)
+    shared = random_model(rng, dim=2)[0]
+    many = sample(shared, 30, seed=[5, 6])
+    np.testing.assert_array_equal(many[1], sample(shared, 30, seed=6))
+    with pytest.raises(ContractError):
+        sample(materialize(raws, arch), 40, seed=0)  # one seed per row
 
 
 def test_sample_uniform_mean():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from jdan.copula import n_pairs
-from jdan.errors import ContractError
+from jdan.errors import ConfigError, ContractError, EvaluationError
 from jdan.hypernet import (
     ArchitectureDescriptor,
     ConditioningNet,
@@ -90,6 +90,27 @@ def test_materialize_size_mismatch():
     arch = unit_arch(dim=2)
     with pytest.raises(ContractError):
         materialize(np.zeros(arch.param_count() + 1), arch)
+
+
+def test_materialize_rejects_non_finite_raw():
+    arch = unit_arch(dim=2)
+    for bad in (np.nan, np.inf):
+        raw = np.zeros(arch.param_count())
+        raw[-1] = bad
+        with pytest.raises(ConfigError):
+            materialize(raw, arch)
+        with pytest.raises(ConfigError):
+            materialize(np.stack([np.zeros_like(raw), raw]), arch)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_non_finite_hypernet_output_is_an_evaluation_error():
+    arch = unit_arch(dim=2, feature_dim=1, hyper=(8,))
+    net = initialize_net(arch, seed=0)
+    net.weights[-1][:] = 1e308  # finite, but eight sigmoid units overflow the sum
+    fc = Forecaster(net, arch)
+    with pytest.raises(EvaluationError):
+        fc.model_for(np.array([[0.5], [1.0]]))
 
 
 def test_architecture_validation():
