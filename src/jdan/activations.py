@@ -5,61 +5,59 @@ All of them have nonnegative first derivative everywhere, which is what
 makes positive-weighted networks monotone. Only "exp" has nonnegative
 derivatives of every order; it is offered for completeness but kept out
 of default training setups because it explodes or vanishes easily.
+
+``apply`` and ``slope`` take ndarrays or tape nodes alike (see
+``autodiff``), so the networks in ``marginal`` and ``hypernet`` run the same
+code for evaluation and for training.
 """
 
 import numpy as np
 
+from . import autodiff as ad
 from .errors import ContractError, DomainError
-from .numerics import sigmoid
 
 KINDS = ("sigmoid", "tanh", "linear", "relu", "exp")
 
+# kind -> (z(x), z'(x) given x and z); slopes reuse the value where they can.
+# ReLU uses the subgradient 0 at x = 0, which keeps z' deterministic and >= 0.
+_TABLE = {
+    "sigmoid": (ad.sigmoid, lambda x, z: z * (1.0 - z)),
+    "tanh": (ad.tanh, lambda x, z: 1.0 - z * z),
+    "linear": (lambda x: x, lambda x, z: 1.0),
+    "relu": (ad.relu, lambda x, z: ad.step(x)),
+    "exp": (ad.exp, lambda x, z: z),
+}
 
-def _check(kind, x):
+
+def apply(kind, x):
+    """z(x) for an ndarray or a tape node; DomainError on non-finite input."""
     if kind not in KINDS:
         raise ContractError(f"unknown activation kind {kind!r}; expected one of {KINDS}")
-    x = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(x)):
+    if not np.all(np.isfinite(ad.value(x))):
         raise DomainError(f"non-finite input to activation {kind!r}")
-    return x
+    return _TABLE[kind][0](x)
+
+
+def slope(kind, x, z):
+    """z'(x), given z = apply(kind, x); 1.0 stands for all ones (linear)."""
+    return _TABLE[kind][1](x, z)
+
+
+def _out(x, out):
+    out = np.array(np.broadcast_to(out, x.shape))  # a fresh array, never x itself
+    return out if out.ndim else float(out)
 
 
 def act_eval(kind, x):
     """Evaluate the activation z(x)."""
-    x = _check(kind, x)
-    if kind == "sigmoid":
-        out = sigmoid(x)
-    elif kind == "tanh":
-        out = np.tanh(x)
-    elif kind == "linear":
-        out = x.copy()
-    elif kind == "relu":
-        out = np.maximum(x, 0.0)
-    else:
-        out = np.exp(x)
-    return out if out.ndim else float(out)
+    x = np.asarray(x, dtype=np.float64)
+    return _out(x, apply(kind, x))
 
 
 def act_d1(kind, x):
-    """First derivative z'(x). Nonnegative for every kind.
-
-    ReLU uses the subgradient 0 at x = 0, which keeps the derivative
-    deterministic and nonnegative.
-    """
-    x = _check(kind, x)
-    if kind == "sigmoid":
-        s = sigmoid(x)
-        out = s * (1.0 - s)
-    elif kind == "tanh":
-        t = np.tanh(x)
-        out = 1.0 - t * t
-    elif kind == "linear":
-        out = np.ones_like(x)
-    elif kind == "relu":
-        out = (x > 0).astype(np.float64)
-    else:
-        out = np.exp(x)
-    return out if out.ndim else float(out)
+    """First derivative z'(x). Nonnegative for every kind."""
+    x = np.asarray(x, dtype=np.float64)
+    return _out(x, slope(kind, x, apply(kind, x)))
 
 
 def act_d2(kind, x):
@@ -71,15 +69,14 @@ def act_d2(kind, x):
     multi-input positive-weighted network cannot serve as a joint CDF
     (see the miso module).
     """
-    x = _check(kind, x)
+    x = np.asarray(x, dtype=np.float64)
+    z = apply(kind, x)
     if kind == "sigmoid":
-        s = sigmoid(x)
-        out = s * (1.0 - s) * (1.0 - 2.0 * s)
+        out = z * (1.0 - z) * (1.0 - 2.0 * z)
     elif kind == "tanh":
-        t = np.tanh(x)
-        out = -2.0 * t * (1.0 - t * t)
+        out = -2.0 * z * (1.0 - z * z)
     elif kind in ("linear", "relu"):
-        out = np.zeros_like(x)
+        out = 0.0
     else:
-        out = np.exp(x)
-    return out if out.ndim else float(out)
+        out = z
+    return _out(x, out)

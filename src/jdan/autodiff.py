@@ -1,14 +1,15 @@
 """Minimal reverse-mode tape over numpy arrays.
 
-The training objective is a modest composition (conditioning net ->
-positivity/tanh squashes -> marginal nets and their input-derivatives ->
-pair combiner -> log), so a small scalar/tensor tape is all that is
-needed; no external framework. Build the graph with the ops below, call
-``backward`` on a scalar result, and read ``.grad`` off the leaves.
+Every op is array-generic: given only plain arrays (or numbers) it returns a
+plain ndarray and records nothing; given at least one ``Tensor`` it returns a
+``Tensor`` wired into the graph. One body of model code therefore serves both
+numpy evaluation and training. Build the graph by passing leaves created with
+``leaf()``, call ``backward`` on a scalar result, and read ``.grad`` off the
+leaves.
 
 Gradients broadcast the numpy way and are summed back onto each parent's
-shape. Only nodes that (transitively) depend on a leaf created with
-``leaf()`` receive gradients.
+shape. Only nodes that (transitively) depend on a leaf receive gradients;
+plain-array arguments are constants and are not kept on the tape.
 """
 
 import numpy as np
@@ -18,17 +19,26 @@ from .numerics import sigmoid as _sigmoid_np
 
 class Tensor:
     __slots__ = ("data", "grad", "parents", "bwd", "needs")
+    # numpy defers `ndarray <op> Tensor` to the Tensor's reflected operator
+    __array_ufunc__ = None
 
-    def __init__(self, data, parents=(), bwd=None, needs=False):
+    def __init__(self, data, parents=(), bwd=(), needs=False):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
-        self.parents = parents
-        self.bwd = bwd
+        self.parents = parents  # tape nodes this one was computed from
+        self.bwd = bwd          # one upstream-gradient -> parent-gradient map per parent
         self.needs = needs
 
     @property
     def shape(self):
         return self.data.shape
+
+    @property
+    def ndim(self):
+        return self.data.ndim
+
+    def reshape(self, shape):
+        return reshape(self, shape)
 
     def __add__(self, other):
         return add(self, other)
@@ -64,12 +74,32 @@ def leaf(data):
     return Tensor(data, needs=True)
 
 
-def _lift(x):
-    return x if isinstance(x, Tensor) else Tensor(x)
+def value(x):
+    """The numbers behind x: a Tensor's data, anything else as is."""
+    return x.data if isinstance(x, Tensor) else x
 
 
-def _node(data, parents, bwd):
-    return Tensor(data, parents=parents, bwd=bwd, needs=any(p.needs for p in parents))
+def array(x):
+    """A Tensor unchanged; anything else as a float64 ndarray."""
+    return x if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
+
+
+def _node(out, *edges):
+    """`out` as a tape node, or plain `out` when no argument is a Tensor.
+
+    Each edge is (argument, map from the upstream gradient to that
+    argument's gradient). Only arguments that need gradients are kept.
+    """
+    parents, bwd, taped = [], [], False
+    for x, f in edges:
+        if isinstance(x, Tensor):
+            taped = True
+            if x.needs and f is not None:
+                parents.append(x)
+                bwd.append(f)
+    if not taped:
+        return out
+    return Tensor(out, tuple(parents), tuple(bwd), bool(parents))
 
 
 def _unbroadcast(g, shape):
@@ -84,121 +114,120 @@ def _unbroadcast(g, shape):
 
 
 def add(a, b):
-    a, b = _lift(a), _lift(b)
-    return _node(a.data + b.data, (a, b),
-                 lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)))
+    av, bv = value(a), value(b)
+    return _node(np.add(av, bv),
+                 (a, lambda g: _unbroadcast(g, np.shape(av))),
+                 (b, lambda g: _unbroadcast(g, np.shape(bv))))
 
 
 def sub(a, b):
-    a, b = _lift(a), _lift(b)
-    return _node(a.data - b.data, (a, b),
-                 lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)))
+    av, bv = value(a), value(b)
+    return _node(np.subtract(av, bv),
+                 (a, lambda g: _unbroadcast(g, np.shape(av))),
+                 (b, lambda g: _unbroadcast(-g, np.shape(bv))))
 
 
 def mul(a, b):
-    a, b = _lift(a), _lift(b)
-    return _node(a.data * b.data, (a, b),
-                 lambda g: (_unbroadcast(g * b.data, a.data.shape),
-                            _unbroadcast(g * a.data, b.data.shape)))
+    av, bv = value(a), value(b)
+    return _node(np.multiply(av, bv),
+                 (a, lambda g: _unbroadcast(g * bv, np.shape(av))),
+                 (b, lambda g: _unbroadcast(g * av, np.shape(bv))))
 
 
 def div(a, b):
-    a, b = _lift(a), _lift(b)
-    return _node(a.data / b.data, (a, b),
-                 lambda g: (_unbroadcast(g / b.data, a.data.shape),
-                            _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape)))
+    av, bv = value(a), value(b)
+    return _node(np.divide(av, bv),
+                 (a, lambda g: _unbroadcast(g / bv, np.shape(av))),
+                 (b, lambda g: _unbroadcast(-g * av / (bv * bv), np.shape(bv))))
 
 
-def matmul(a, b):
-    """2-D matrix product."""
-    a, b = _lift(a), _lift(b)
-    return _node(a.data @ b.data, (a, b),
-                 lambda g: (g @ b.data.T, a.data.T @ g))
+def affine(a, w, b=None):
+    """One layer, a @ swapaxes(w, -1, -2) + b[..., None, :].
 
-
-def transpose(a):
-    a = _lift(a)
-    return _node(a.data.T, (a,), lambda g: (g.T,))
-
-
-def bmv(a, b):
-    """Batched matrix-vector product: (n, o, i) x (n, i) -> (n, o)."""
-    a, b = _lift(a), _lift(b)
-    out = np.einsum("noi,ni->no", a.data, b.data)
-    return _node(out, (a, b),
-                 lambda g: (g[:, :, None] * b.data[:, None, :],
-                            np.einsum("no,noi->ni", g, a.data)))
+    w is shared, (out, in), or per row, (n, out, in), with b (out,) or
+    (n, out) to match; a is (m, in) or (n, k, in), and broadcasts the numpy
+    matmul way. Without b there is no bias term.
+    """
+    av, wv = value(a), value(w)
+    out = av @ np.swapaxes(wv, -1, -2)
+    edges = [(a, lambda g: _unbroadcast(g @ wv, np.shape(av))),
+             (w, lambda g: _unbroadcast(np.swapaxes(g, -1, -2) @ av, np.shape(wv)))]
+    if b is not None:
+        bv = value(b)
+        out += bv[..., None, :]
+        edges.append((b, lambda g: _unbroadcast(g.sum(axis=-2), np.shape(bv))))
+    return _node(out, *edges)
 
 
 def reshape(a, shape):
-    a = _lift(a)
-    return _node(a.data.reshape(shape), (a,), lambda g: (g.reshape(a.data.shape),))
+    av = value(a)
+    return _node(np.reshape(av, shape), (a, lambda g: g.reshape(np.shape(av))))
 
 
 def getitem(a, idx):
     # idx must not select the same element twice (plain assignment below,
-    # not scatter-add); ints, slices and tuples of those are all fine.
-    a = _lift(a)
+    # not scatter-add); ints, slices, Ellipsis and tuples of those are fine.
+    av = value(a)
 
     def bwd(g):
-        full = np.zeros_like(a.data)
+        full = np.zeros_like(av)
         full[idx] = g
-        return (full,)
+        return full
 
-    return _node(a.data[idx], (a,), bwd)
+    return _node(av[idx], (a, bwd))
+
+
+def stack(arrays, axis=-1):
+    """np.stack along a new axis; each part gets its slice of the gradient."""
+    values = [value(x) for x in arrays]
+    return _node(np.stack(values, axis=axis),
+                 *[(x, lambda g, i=i: np.take(g, i, axis=axis)) for i, x in enumerate(arrays)])
 
 
 def sumall(a):
-    a = _lift(a)
-    return _node(a.data.sum(), (a,), lambda g: (np.broadcast_to(g, a.data.shape).copy(),))
+    av = value(a)
+    return _node(np.asarray(np.sum(av)), (a, lambda g: np.broadcast_to(g, np.shape(av)).copy()))
 
 
 def mean(a):
-    a = _lift(a)
-    n = a.data.size
-    return _node(a.data.mean(), (a,),
-                 lambda g: (np.broadcast_to(g / n, a.data.shape).copy(),))
+    av = value(a)
+    n = np.size(av)
+    return _node(np.asarray(np.mean(av)), (a, lambda g: np.broadcast_to(g / n, np.shape(av)).copy()))
 
 
 def log(a):
-    a = _lift(a)
-    return _node(np.log(a.data), (a,), lambda g: (g / a.data,))
+    av = value(a)
+    return _node(np.log(av), (a, lambda g: g / av))
 
 
 def exp(a):
-    a = _lift(a)
-    out = np.exp(a.data)
-    return _node(out, (a,), lambda g: (g * out,))
+    out = np.exp(value(a))
+    return _node(out, (a, lambda g: g * out))
 
 
 def tanh(a):
-    a = _lift(a)
-    out = np.tanh(a.data)
-    return _node(out, (a,), lambda g: (g * (1.0 - out * out),))
+    out = np.tanh(value(a))
+    return _node(out, (a, lambda g: g * (1.0 - out * out)))
 
 
 def sigmoid(a):
-    a = _lift(a)
-    out = _sigmoid_np(a.data)
-    return _node(out, (a,), lambda g: (g * out * (1.0 - out),))
+    out = _sigmoid_np(value(a))
+    return _node(out, (a, lambda g: g * out * (1.0 - out)))
 
 
 def softplus(a):
-    a = _lift(a)
-    return _node(np.logaddexp(0.0, a.data), (a,),
-                 lambda g: (g * _sigmoid_np(a.data),))
+    av = value(a)
+    return _node(np.logaddexp(0.0, av), (a, lambda g: g * _sigmoid_np(av)))
 
 
 def relu(a):
-    a = _lift(a)
-    return _node(np.maximum(a.data, 0.0), (a,),
-                 lambda g: (g * (a.data > 0),))
+    av = value(a)
+    return _node(np.maximum(av, 0.0), (a, lambda g: g * (av > 0)))
 
 
 def step(a):
     """Heaviside with value 0 at 0; gradient defined as zero everywhere."""
-    a = _lift(a)
-    return _node((a.data > 0).astype(np.float64), (a,), lambda g: (None,))
+    return _node((np.asarray(value(a)) > 0).astype(np.float64), (a, None))
 
 
 def backward(root: Tensor):
@@ -207,25 +236,24 @@ def backward(root: Tensor):
         raise ValueError("backward expects a scalar root")
     order = []
     seen = set()
-    stack = [(root, False)]
-    while stack:
-        node, expanded = stack.pop()
+    todo = [(root, False)]
+    while todo:
+        node, expanded = todo.pop()
         if expanded:
             order.append(node)
             continue
         if id(node) in seen or not node.needs:
             continue
         seen.add(id(node))
-        stack.append((node, True))
+        todo.append((node, True))
         for p in node.parents:
-            stack.append((p, False))
+            todo.append((p, False))
     root.grad = np.ones_like(root.data)
     for node in reversed(order):
-        if node.bwd is None or node.grad is None:
+        if node.grad is None:
             continue
-        for parent, g in zip(node.parents, node.bwd(node.grad)):
-            if g is None or not parent.needs:
-                continue
+        for parent, f in zip(node.parents, node.bwd):
+            g = f(node.grad)
             if parent.grad is None:
                 parent.grad = np.array(g, dtype=np.float64, copy=True)
             else:

@@ -137,7 +137,7 @@ def cmd_train(args):
     }
     parent = os.path.dirname(os.path.abspath(out))
     os.makedirs(parent, exist_ok=True)
-    model_io.save_model(out, fc, data_spec=data_spec, training_state=report.optimizer_state)
+    model_io.save_model(out, fc, data_spec=data_spec)
     history = _resolve(cfg.get("history_out"), base) or os.path.splitext(out)[0] + "_history.csv"
     os.makedirs(os.path.dirname(os.path.abspath(history)), exist_ok=True)
     write_history_csv(report, history)

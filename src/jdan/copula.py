@@ -30,14 +30,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import autodiff as ad
 from .errors import BracketError, ContractError, EvaluationError
-from .marginal import (
-    Bounds,
-    MarginalNetParams,
-    inverse_cdf,
-    normalized_cdf,
-    normalized_pdf,
-)
+from .marginal import inverse_cdf, normalize, normalized_cdf
 
 MAX_DIM = 12  # pairs grow quadratically; desk-scale cap
 # a proper copula density accepts half the proposals, so a model that needs
@@ -58,13 +53,14 @@ def pair_indices(dim):
 class CorrelationParams:
     """Unconstrained pairwise parameters, (pairs,) or (n, pairs) per row.
 
-    tanh squashes them into (-1, 1).
+    tanh squashes them into (-1, 1). They may be tape nodes (see ``autodiff``).
     """
 
     raw: np.ndarray
 
     def __post_init__(self):
-        self.raw = np.atleast_1d(np.asarray(self.raw, dtype=np.float64))
+        raw = ad.array(self.raw)
+        self.raw = raw.reshape((1,)) if raw.ndim == 0 else raw
         if self.raw.ndim > 2:
             raise ContractError("correlations carry at most one leading row axis")
 
@@ -73,7 +69,7 @@ class CorrelationParams:
         return self.raw.shape[0] if self.raw.ndim == 2 else None
 
     def effective(self):
-        return np.tanh(self.raw)
+        return ad.tanh(self.raw)
 
 
 @dataclass
@@ -143,41 +139,38 @@ def marginal_cdf_values(model: JdanModel, y):
     return u[0] if scalar else u
 
 
-def _pair_terms(corr: CorrelationParams, u):
-    """(points, effective correlations, pairs) after checking their shapes agree."""
-    pts = np.atleast_2d(u)
-    pairs = pair_indices(pts.shape[1])
+def _pair_mean(corr: CorrelationParams, v):
+    """Mean over pairs (d, i) of C_di * v_d * v_i, one value per point of v (n, D)."""
+    pairs = pair_indices(v.shape[1])
     if corr.raw.shape[-1] != len(pairs):
         raise ContractError("correlation size does not match point dimension")
-    if corr.rows is not None and corr.rows != pts.shape[0]:
+    if corr.rows is not None and corr.rows != v.shape[0]:
         raise ContractError(f"{corr.rows} correlation rows need {corr.rows} points")
-    return pts, corr.effective(), pairs
+    c = corr.effective()
+    s = None
+    for k, (d, i) in enumerate(pairs):
+        term = c[..., k] * (v[:, d] * v[:, i])
+        s = term if s is None else s + term
+    return s / len(pairs)
 
 
 def copula_cdf(corr: CorrelationParams, u):
     """The combiner itself, evaluated on unit-cube coordinates."""
     u = np.asarray(u, dtype=np.float64)
-    scalar = u.ndim == 1
-    pts, c, pairs = _pair_terms(corr, u)
-    v = 1.0 - pts
-    s = np.zeros(pts.shape[0])
-    for k, (d, i) in enumerate(pairs):
-        s += c[..., k] * v[:, d] * v[:, i]
-    out = pts.prod(axis=1) * (1.0 + s / len(pairs))
-    return float(out[0]) if scalar else out
+    pts = np.atleast_2d(u)
+    out = pts.prod(axis=1) * (1.0 + _pair_mean(corr, 1.0 - pts))
+    return float(out[0]) if u.ndim == 1 else out
 
 
 def copula_density(corr: CorrelationParams, u):
-    """Mixed partial of the combiner over all coordinates; lies in (0, 2)."""
-    u = np.asarray(u, dtype=np.float64)
-    scalar = u.ndim == 1
-    pts, c, pairs = _pair_terms(corr, u)
-    m = 1.0 - 2.0 * pts
-    s = np.zeros(pts.shape[0])
-    for k, (d, i) in enumerate(pairs):
-        s += c[..., k] * m[:, d] * m[:, i]
-    out = 1.0 + s / len(pairs)
-    return float(out[0]) if scalar else out
+    """Mixed partial of the combiner over all coordinates; lies in (0, 2).
+
+    u and the correlations may be tape nodes; u is (n, D), or one point (D,).
+    """
+    u = ad.array(u)
+    pts = u.reshape((1, -1)) if u.ndim == 1 else u
+    out = 1.0 + _pair_mean(corr, 1.0 - 2.0 * pts)
+    return float(out[0]) if u.ndim == 1 else out
 
 
 def joint_cdf(model: JdanModel, y):
@@ -186,12 +179,22 @@ def joint_cdf(model: JdanModel, y):
 
 
 def joint_pdf(model: JdanModel, y):
-    """Joint density: copula density at the CDF values times marginal densities."""
+    """Joint density: copula density at the CDF values times marginal densities.
+
+    Points outside the box have density 0. The model's parameters may be
+    tape nodes, and then so is the result: this is the function training
+    differentiates, for points that all lie inside the box.
+    """
     pts, scalar = _as_points(y, model.dim, model.rows)
-    u = marginal_cdf_values(model, pts)
-    dens = copula_density(model.correlations, u)
-    for d in range(model.dim):
-        dens = dens * normalized_pdf(model.marginals[d], pts[:, d], model.bounds[d])
+    box = np.clip(pts, model.box_lower(), model.box_upper())
+    cdfs, pdfs = zip(*(normalize(m, box[:, d], b)
+                       for d, (m, b) in enumerate(zip(model.marginals, model.bounds))))
+    dens = copula_density(model.correlations, ad.stack(cdfs, axis=-1))
+    for pdf in pdfs:
+        dens = dens * pdf
+    inside = np.all(box == pts, axis=1)
+    if not inside.all():
+        dens = dens * inside
     return float(dens[0]) if scalar else dens
 
 

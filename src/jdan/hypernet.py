@@ -15,11 +15,13 @@ there is no network at all: the raw vector itself is the trainable object,
 which is the plain density-estimation mode.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .activations import KINDS, act_eval
+from . import activations
+from . import autodiff as ad
+from .activations import KINDS
 from .copula import MAX_DIM, CorrelationParams, JdanModel, n_pairs
 from .errors import ConfigError, ContractError, EvaluationError
 from .marginal import Bounds, MarginalNetParams
@@ -96,14 +98,15 @@ def materialize(raw, arch: ArchitectureDescriptor) -> JdanModel:
     """Reshape a raw vector (P,), or a block of per-row vectors (n, P), into a model.
 
     Every finite raw vector is valid; a non-finite entry raises ConfigError.
+    The raw vector may be a tape node, and then so are the model's parameters.
     """
-    raw = np.asarray(raw, dtype=np.float64)
+    raw = ad.array(raw)
     if raw.ndim not in (1, 2) or raw.shape[-1] != arch.param_count():
         raise ContractError(
             f"raw parameters have shape {raw.shape}; architecture needs "
             f"({arch.param_count()},) or (n, {arch.param_count()})"
         )
-    if not np.all(np.isfinite(raw)):
+    if not np.all(np.isfinite(ad.value(raw))):
         raise ConfigError("raw parameters must be finite")
     lead = raw.shape[:-1]
     spans, corr_span = arch.partition()
@@ -150,7 +153,7 @@ class ConditioningNet:
         if self.input_dim == 0:
             if self.raw is None:
                 raise ContractError("unconditional nets must carry a raw vector")
-            self.raw = np.asarray(self.raw, dtype=np.float64).reshape(-1)
+            self.raw = ad.array(self.raw).reshape((-1,))
         else:
             if self.layer_sizes[0] != self.input_dim:
                 raise ContractError("first layer size must equal input_dim")
@@ -171,6 +174,12 @@ class ConditioningNet:
         for w, b in zip(self.weights, self.biases):
             out.extend((w, b))
         return out
+
+    def with_parameters(self, params):
+        """The same net carrying `params`, in parameters() order (tape leaves, say)."""
+        if self.input_dim == 0:
+            return replace(self, raw=params[0])
+        return replace(self, weights=list(params[0::2]), biases=list(params[1::2]))
 
 
 def initialize_net(arch: ArchitectureDescriptor, seed) -> ConditioningNet:
@@ -198,24 +207,30 @@ def initialize_net(arch: ArchitectureDescriptor, seed) -> ConditioningNet:
 
 
 def nfn_forward(net: ConditioningNet, x):
-    """Map features to the flat raw vector; (F,) -> (P,) or (n, F) -> (n, P)."""
-    if net.input_dim == 0:
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim <= 1:
-            return net.raw.copy()
-        return np.broadcast_to(net.raw, (x.shape[0], net.raw.size)).copy()
+    """Map features to the flat raw vector; (F,) -> (P,) or (n, F) -> (n, P).
+
+    The net's parameters may be tape nodes, and then so is the result. A
+    non-finite result raises EvaluationError.
+    """
     x = np.asarray(x, dtype=np.float64)
-    scalar = x.ndim == 1
-    a = np.atleast_2d(x)
-    if a.shape[1] != net.input_dim:
-        raise ContractError(f"expected {net.input_dim} features, got {a.shape[1]}")
-    if not np.all(np.isfinite(a)):
-        raise ContractError("features must be finite")
-    last = len(net.weights) - 1
-    for k, (w, b) in enumerate(zip(net.weights, net.biases)):
-        pre = a @ w.T + b
-        a = pre if k == last else act_eval(net.activation, pre)
-    return a[0] if scalar else a
+    if net.input_dim == 0:
+        rows = x.shape[:1] if x.ndim == 2 else ()
+        a = net.raw + np.zeros(rows + net.raw.shape)  # a fresh array, or a tape node
+    else:
+        a = np.atleast_2d(x)
+        if a.shape[1] != net.input_dim:
+            raise ContractError(f"expected {net.input_dim} features, got {a.shape[1]}")
+        if not np.all(np.isfinite(a)):
+            raise ContractError("features must be finite")
+        last = len(net.weights) - 1
+        for k, (w, b) in enumerate(zip(net.weights, net.biases)):
+            pre = ad.affine(a, w, b)
+            a = pre if k == last else activations.apply(net.activation, pre)
+        if x.ndim == 1:
+            a = a[0]
+    if not np.all(np.isfinite(ad.value(a))):
+        raise EvaluationError("the conditioning net emitted non-finite parameters")
+    return a
 
 
 class Forecaster:
@@ -249,7 +264,4 @@ class Forecaster:
             raise ContractError("features must be a vector or a (rows, features) block")
         if self.feature_scaler is not None:
             x = self.feature_scaler.transform(x)
-        raw = nfn_forward(self.net, x)
-        if not np.all(np.isfinite(raw)):
-            raise EvaluationError("the conditioning net emitted non-finite parameters")
-        return materialize(raw, self.arch)
+        return materialize(nfn_forward(self.net, x), self.arch)

@@ -14,6 +14,9 @@ Parameters are either one shared set, weights (out, in) and biases (out,),
 or a block of n per-row sets, weights (n, out, in) and biases (n, out). With
 a block, every function here takes points whose leading axis has length n,
 shape (n,) or (n, k), and evaluates row i's points under row i's parameters.
+The parameters may also be tape nodes (see ``autodiff``): ``normalize`` is
+then the same code differentiated for training. Points are always plain
+arrays.
 """
 
 from dataclasses import dataclass
@@ -21,13 +24,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import activations
+from . import autodiff as ad
 from .errors import (
     ContractError,
     DegenerateMarginalError,
     EvaluationError,
     InversionError,
 )
-from .numerics import softplus
 
 WEIGHT_EPS = 1e-6       # floor added to softplus so weights stay strictly positive
 DENOM_EPS = 1e-12       # below this the marginal is considered flat, hence broken
@@ -37,7 +40,7 @@ INVERT_MAX_ITERS = 200
 
 def positivity_map(raw):
     """Map unconstrained reals to strictly positive weights: softplus + eps."""
-    return softplus(raw) + WEIGHT_EPS
+    return ad.softplus(raw) + WEIGHT_EPS
 
 
 @dataclass
@@ -124,85 +127,82 @@ def _as_column(params, y):
     return y.reshape(params.rows, -1, 1), y.shape
 
 
-def _layer(a, w, b):
-    """a @ w^T + b for a shared (out, in) or per-row (n, out, in) weight."""
-    return a @ np.swapaxes(w, -1, -2) + b[..., None, :]
+def _psi(params, weights, a, deriv):
+    """psi at column points a and, with deriv, d psi / dy there (else None).
 
-
-def _per_row(v, y):
-    """Broadcast a per-row value (shape () or (n,)) against points y."""
-    v = np.asarray(v)
-    return v.reshape(v.shape + (1,) * (np.ndim(y) - v.ndim))
-
-
-def _at(params, value):
-    """One copy of `value` per parameter row (a scalar for a shared set)."""
-    return value if params.rows is None else np.full(params.rows, value)
+    The chain rule runs layer by layer beside the forward pass, so the
+    derivative is exact and, with positive weights, never negative.
+    """
+    d = np.ones(a.shape) if deriv else None
+    last = len(weights) - 1
+    for k, (w, b) in enumerate(zip(weights, params.biases)):
+        pre = ad.affine(a, w, b)
+        if deriv:
+            d = ad.affine(d, w)
+        if k < last:
+            a = activations.apply(params.activation, pre)
+            if deriv:
+                d = activations.slope(params.activation, pre, a) * d
+        else:
+            a = pre  # linear output layer
+        if not np.all(np.isfinite(ad.value(a))):
+            raise EvaluationError(f"non-finite activation in marginal layer {k}", layer=k)
+    return a, d
 
 
 def forward(params: MarginalNetParams, y):
     """Raw network output psi(y). Nondecreasing in y. Accepts scalars or arrays."""
     a, shape = _as_column(params, y)
-    n_layers = len(params.raw_weights)
-    for k, (rw, b) in enumerate(zip(params.raw_weights, params.biases)):
-        pre = _layer(a, positivity_map(rw), b)
-        a = pre if k == n_layers - 1 else activations.act_eval(params.activation, pre)
-        if not np.all(np.isfinite(a)):
-            raise EvaluationError(f"non-finite activation in marginal layer {k}", layer=k)
-    out = a[..., 0].reshape(shape)
+    out = _psi(params, params.effective_weights(), a, False)[0].reshape(shape)
     return float(out) if out.ndim == 0 else out
 
 
 def d_forward(params: MarginalNetParams, y):
     """Analytic d psi / d y via the layer-by-layer chain rule. Always >= 0."""
     a, shape = _as_column(params, y)
-    dchain = np.ones_like(a)
-    n_layers = len(params.raw_weights)
-    for k, (rw, b) in enumerate(zip(params.raw_weights, params.biases)):
-        w = positivity_map(rw)
-        pre = _layer(a, w, b)
-        dpre = dchain @ np.swapaxes(w, -1, -2)
-        if k == n_layers - 1:
-            a, dchain = pre, dpre
-        else:
-            a = activations.act_eval(params.activation, pre)
-            dchain = activations.act_d1(params.activation, pre) * dpre
-    out = dchain[..., 0].reshape(shape)
+    out = _psi(params, params.effective_weights(), a, True)[1].reshape(shape)
     return float(out) if out.ndim == 0 else out
 
 
-def _denominator(params, b: Bounds):
-    """psi(U) - psi(L): a float, or one span per parameter row."""
-    span = forward(params, _at(params, b.upper)) - forward(params, _at(params, b.lower))
-    if np.any(span < DENOM_EPS):
-        flat = float(np.min(span))
+def normalize(params: MarginalNetParams, y, b: Bounds, pdf=True):
+    """(F(y), f(y)) at points y inside [L, U]; f is None without pdf.
+
+    psi(L) and psi(U) come from one pass and psi(y), with its derivative,
+    from another. The parameters may be tape nodes; then so are F and f.
+    A span psi(U) - psi(L) below DENOM_EPS raises DegenerateMarginalError.
+    """
+    a, shape = _as_column(params, y)
+    weights = params.effective_weights()
+    ends, _ = _psi(params, weights, np.array([[b.lower], [b.upper]]), False)
+    lower = ends[..., :1, :]
+    span = ends[..., 1:, :] - lower
+    if np.any(ad.value(span) < DENOM_EPS):
         raise DegenerateMarginalError(
-            f"marginal is flat over [{b.lower}, {b.upper}] (span {flat:.3e}); "
+            f"marginal is flat over [{b.lower}, {b.upper}] "
+            f"(span {float(np.min(ad.value(span))):.3e}); "
             "the model cannot represent a distribution on these bounds"
         )
-    return span
+    psi, dpsi = _psi(params, weights, a, pdf)
+    cdf = ((psi - lower) / span).reshape(shape)
+    return cdf, ((dpsi / span).reshape(shape) if pdf else None)
 
 
 def normalized_cdf(params: MarginalNetParams, y, b: Bounds):
     """CDF on [L, U]: exactly 0 at L, exactly 1 at U; inputs outside are clamped."""
-    y_arr = np.asarray(y, dtype=np.float64)
-    yc = np.clip(y_arr, b.lower, b.upper)
-    den = _per_row(_denominator(params, b), y_arr)
-    raw = (forward(params, yc) - _per_row(forward(params, _at(params, b.lower)), y_arr)) / den
+    y = np.asarray(y, dtype=np.float64)
+    raw, _ = normalize(params, np.clip(y, b.lower, b.upper), b, pdf=False)
     # batched BLAS paths can differ from the scalar path by an ulp, so pin the
     # endpoints explicitly and clip the drift instead of trusting x - x == 0
     out = np.clip(raw, 0.0, 1.0)
-    out = np.where(y_arr <= b.lower, 0.0, np.where(y_arr >= b.upper, 1.0, out))
-    return float(out) if np.ndim(out) == 0 else out
+    out = np.where(y <= b.lower, 0.0, np.where(y >= b.upper, 1.0, out))
+    return float(out) if out.ndim == 0 else out
 
 
 def normalized_pdf(params: MarginalNetParams, y, b: Bounds):
     """Density on [L, U]: d psi / dy over the normalizing span; 0 outside."""
     y = np.asarray(y, dtype=np.float64)
-    den = _per_row(_denominator(params, b), y)
-    out = d_forward(params, y) / den
-    inside = (y >= b.lower) & (y <= b.upper)
-    out = np.where(inside, out, 0.0)
+    _, dens = normalize(params, np.clip(y, b.lower, b.upper), b)
+    out = np.where((y >= b.lower) & (y <= b.upper), dens, 0.0)
     return float(out) if out.ndim == 0 else out
 
 

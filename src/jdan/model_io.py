@@ -5,6 +5,8 @@ dimension, bounds, architecture, and either the materialized marginal/
 correlation parameters (unconditional) or the conditioning network plus
 feature scaling (conditional). Floats round-trip exactly through JSON
 (repr-based), so a saved model samples bit-identically after reload.
+Keys the loader does not know, such as the "training_state" optimizer
+block older documents carry, are ignored.
 """
 
 import json
@@ -41,7 +43,7 @@ def _arch_from_doc(doc):
     )
 
 
-def forecaster_to_doc(fc: Forecaster, data_spec=None, training_state=None):
+def forecaster_to_doc(fc: Forecaster, data_spec=None):
     doc = {
         "version": MODEL_VERSION,
         "dim": fc.arch.dim,
@@ -80,11 +82,6 @@ def forecaster_to_doc(fc: Forecaster, data_spec=None, training_state=None):
             "feature_columns": list(data_spec.get("feature_columns", [])),
             "target_columns": list(data_spec.get("target_columns", [])),
             "lag_windows": list(data_spec.get("lag_windows", [])),
-        }
-    if training_state is not None:
-        doc["training_state"] = {
-            k: (v.tolist() if isinstance(v, np.ndarray) else v)
-            for k, v in training_state.items()
         }
     return doc
 
@@ -147,8 +144,8 @@ def doc_to_forecaster(doc) -> Forecaster:
     return Forecaster(net, arch)  # materialize rejects non-finite parameters
 
 
-def save_model(path, fc: Forecaster, data_spec=None, training_state=None):
-    doc = forecaster_to_doc(fc, data_spec=data_spec, training_state=training_state)
+def save_model(path, fc: Forecaster, data_spec=None):
+    doc = forecaster_to_doc(fc, data_spec=data_spec)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")

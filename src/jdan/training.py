@@ -1,8 +1,8 @@
 """Maximum-likelihood fitting of the joint density model.
 
-The whole objective — conditioning net, positivity map, monotone marginal
-nets and their input-derivatives, pair combiner, log — is rebuilt on the
-reverse-mode tape in ``autodiff`` so one backward pass yields exact
+The objective is the evaluation code itself — ``nfn_forward``,
+``materialize`` and ``joint_pdf`` — run with the net's parameters as leaves
+of the reverse-mode tape in ``autodiff``, so one backward pass yields exact
 gradients for every trainable array. ``grad_check`` compares those against
 central finite differences and is the standing correctness oracle.
 
@@ -19,17 +19,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .copula import n_pairs, pair_indices
+from .copula import joint_pdf
 from .errors import (
     ConfigError,
     ContractError,
     DegenerateMarginalError,
+    DomainError,
     EvaluationError,
     NonFiniteLossError,
     TrainingError,
 )
-from .hypernet import ArchitectureDescriptor, ConditioningNet, initialize_net
-from .marginal import DENOM_EPS, WEIGHT_EPS
+from .hypernet import ArchitectureDescriptor, initialize_net, materialize, nfn_forward
 
 LOG_EPS = 1e-12  # density can be exactly 0 on the support boundary
 
@@ -61,145 +61,31 @@ class TrainReport:
     best_epoch: int = 0
     best_validation_nll: float = math.nan
     wall_time: float = 0.0
-    # optimizer state at stop (parameters themselves are at the best epoch);
-    # saved into model checkpoints, not part of the history CSV
-    optimizer_state: dict = None
-
-
-def _tape_act(kind, z):
-    """Activation value and its input-derivative, both as tape nodes.
-
-    The derivative is expressed through the value (s(1-s), 1-t^2, ...) so
-    the tape differentiates it with respect to the parameters for free.
-    None means the derivative is identically 1 (linear).
-    """
-    if kind == "sigmoid":
-        a = ad.sigmoid(z)
-        return a, a * (1.0 - a)
-    if kind == "tanh":
-        a = ad.tanh(z)
-        return a, 1.0 - a * a
-    if kind == "relu":
-        return ad.relu(z), ad.step(z)
-    if kind == "exp":
-        a = ad.exp(z)
-        return a, a
-    if kind == "linear":
-        return z, None
-    raise ContractError(f"unknown activation {kind!r}")
-
-
-def _marginal_pass(weights, biases, activation, y_col, per_sample, with_deriv):
-    """Monotone-net forward and (optionally) d/dy on the tape.
-
-    weights[k]: (out,in) shared or (n,out,in) per-sample, already positive.
-    y_col: constant tape node, (m,1). Returns (value, deriv) nodes, (m,1).
-    """
-    a = y_col
-    deriv = ad.Tensor(np.ones((y_col.data.shape[0], 1))) if with_deriv else None
-    last = len(weights) - 1
-    for k, (w, b) in enumerate(zip(weights, biases)):
-        if per_sample:
-            z = ad.bmv(w, a) + b
-            jz = ad.bmv(w, deriv) if with_deriv else None
-        else:
-            wt = ad.transpose(w)
-            z = ad.matmul(a, wt) + b
-            jz = ad.matmul(deriv, wt) if with_deriv else None
-        if k == last:
-            a, deriv = z, jz  # linear output layer
-        else:
-            a, d1 = _tape_act(activation, z)
-            if with_deriv:
-                deriv = jz if d1 is None else d1 * jz
-    return a, deriv
-
-
-def _net_raw(net: ConditioningNet, leaves, features):
-    """Raw-vector tape node: (P,) unconditional or (n,P) from the hypernet."""
-    if net.input_dim == 0:
-        return leaves[0], False
-    a = ad.Tensor(np.asarray(features, dtype=np.float64))
-    last = len(net.weights) - 1
-    for k in range(len(net.weights)):
-        w, b = leaves[2 * k], leaves[2 * k + 1]
-        z = ad.matmul(a, ad.transpose(w)) + b
-        a = z if k == last else _tape_act(net.activation, z)[0]
-    return a, True
-
-
-def _slice_raw(raw, per_sample, lo, hi, shape=None):
-    if per_sample:
-        piece = ad.getitem(raw, (slice(None), slice(lo, hi)))
-        if shape is not None:
-            piece = ad.reshape(piece, (raw.data.shape[0],) + shape)
-    else:
-        piece = ad.getitem(raw, slice(lo, hi))
-        if shape is not None:
-            piece = ad.reshape(piece, shape)
-    return piece
 
 
 def _per_sample_loss(net, arch, targets, features):
-    """Tape graph of the per-sample negative log joint density.
+    """Per-sample -log(joint_pdf + LOG_EPS), shape (n,).
 
-    Returns (loss_vec, leaves): the (n,1) loss node and the parameter
-    leaves in net.parameters() order, for gradient read-out.
+    The evaluation code itself: a tape node when net's parameters are
+    tape leaves, a plain array otherwise.
     """
     targets = np.asarray(targets, dtype=np.float64)
     if targets.ndim != 2 or targets.shape[1] != arch.dim:
         raise ContractError("targets must be (n, dim)")
-    n = targets.shape[0]
-    if n == 0:
+    if targets.shape[0] == 0:
         raise ContractError("batch must be nonempty")
-    leaves = [ad.leaf(p) for p in net.parameters()]
-    raw, per_sample = _net_raw(net, leaves, features)
-    spans, corr_span = arch.partition()
-
-    dens_terms = None
-    pdf_prod = None
-    margins = []  # (1-2u) per dimension, for the pair sum
-    for d, (w_spans, b_spans) in enumerate(spans):
-        weights = [
-            ad.softplus(_slice_raw(raw, per_sample, lo, hi, shape)) + WEIGHT_EPS
-            for lo, hi, shape in w_spans
-        ]
-        biases = [_slice_raw(raw, per_sample, lo, hi) for lo, hi in b_spans]
-        act = arch.activations[d]
-        b = arch.bounds[d]
-        y_col = ad.Tensor(targets[:, d:d + 1])
-        if np.any(targets[:, d] < b.lower) or np.any(targets[:, d] > b.upper):
-            bad = int(np.argmax((targets[:, d] < b.lower) | (targets[:, d] > b.upper)))
-            raise ContractError(
-                f"target sample {bad} lies outside bounds in dimension {d}"
-            )
-        m = n if per_sample else 1
-        lo_col = ad.Tensor(np.full((m, 1), b.lower))
-        hi_col = ad.Tensor(np.full((m, 1), b.upper))
-        psi_y, dpsi = _marginal_pass(weights, biases, act, y_col, per_sample, True)
-        psi_lo, _ = _marginal_pass(weights, biases, act, lo_col, per_sample, False)
-        psi_hi, _ = _marginal_pass(weights, biases, act, hi_col, per_sample, False)
-        denom = psi_hi - psi_lo
-        if np.min(denom.data) <= DENOM_EPS:
-            raise DegenerateMarginalError(
-                f"marginal {d} is flat over its bounds (denominator <= {DENOM_EPS})"
-            )
-        u = (psi_y - psi_lo) / denom
-        pdf = dpsi / denom
-        margins.append(1.0 - 2.0 * u)
-        pdf_prod = pdf if pdf_prod is None else pdf_prod * pdf
-
-    corr = ad.tanh(_slice_raw(raw, per_sample, corr_span[0], corr_span[1]))
-    for k, (d, i) in enumerate(pair_indices(arch.dim)):
-        c = _slice_raw(corr, per_sample, k, k + 1) if per_sample else ad.getitem(corr, k)
-        term = c * (margins[d] * margins[i])
-        dens_terms = term if dens_terms is None else dens_terms + term
-    density = 1.0 + dens_terms * (1.0 / n_pairs(arch.dim))
-    return -ad.log(density * pdf_prod + LOG_EPS), leaves
+    lower = np.array([b.lower for b in arch.bounds])
+    upper = np.array([b.upper for b in arch.bounds])
+    outside = ~((targets >= lower) & (targets <= upper))  # NaN is outside too
+    if outside.any():
+        bad, d = np.argwhere(outside)[0]
+        raise ContractError(f"target sample {bad} lies outside bounds in dimension {d}")
+    model = materialize(nfn_forward(net, features), arch)
+    return -ad.log(joint_pdf(model, targets) + LOG_EPS)
 
 
 def _check_finite(loss_vec):
-    finite = np.isfinite(loss_vec.data.reshape(-1))
+    finite = np.isfinite(loss_vec)
     if not finite.all():
         idx = int(np.argmin(finite))
         raise NonFiniteLossError(f"non-finite loss at sample {idx}", sample_index=idx)
@@ -207,15 +93,16 @@ def _check_finite(loss_vec):
 
 def nll_loss(net, arch, targets, features=None):
     """Mean of -log(joint_pdf + 1e-12) over the batch."""
-    vec, _ = _per_sample_loss(net, arch, targets, features)
+    vec = _per_sample_loss(net, arch, targets, features)
     _check_finite(vec)
-    return float(vec.data.mean())
+    return float(vec.mean())
 
 
 def nll_grad(net, arch, targets, features=None):
     """(loss, flat gradient) over net.parameters() in order, raveled."""
-    vec, leaves = _per_sample_loss(net, arch, targets, features)
-    _check_finite(vec)
+    leaves = [ad.leaf(p) for p in net.parameters()]
+    vec = _per_sample_loss(net.with_parameters(leaves), arch, targets, features)
+    _check_finite(vec.data)
     loss = ad.mean(vec)
     ad.backward(loss)
     grads = [
@@ -335,30 +222,30 @@ def train(arch: ArchitectureDescriptor, targets, features=None, config=None, log
     for epoch in range(1, cfg.max_epochs + 1):
         order = shuffle_rng.permutation(n_tr)
         epoch_loss = 0.0
-        for lo in range(0, n_tr, cfg.batch_size):
-            rows = order[lo:lo + cfg.batch_size]
-            xb = x_tr[rows] if x_tr is not None else None
-            try:
+        try:
+            for lo in range(0, n_tr, cfg.batch_size):
+                rows = order[lo:lo + cfg.batch_size]
+                xb = x_tr[rows] if x_tr is not None else None
                 loss, g = nll_grad(net, arch, y_tr[rows], xb)
                 if not np.all(np.isfinite(g)):
                     raise NonFiniteLossError("non-finite gradient")
-            except (NonFiniteLossError, DegenerateMarginalError, EvaluationError) as exc:
-                # the step broke evaluation (overflow, flattened marginal);
-                # hand back the last good parameters with the partial report
-                set_flat_parameters(net, best_theta)
-                report.stopped_epoch = epoch
-                report.wall_time = time.perf_counter() - start
-                raise TrainingError(
-                    f"epoch {epoch}: {exc}; parameters restored to the best "
-                    "checkpoint so far",
-                    report=report,
-                ) from exc
-            t += 1
-            _adam_update(theta, g, m, v, t, cfg)
-            set_flat_parameters(net, theta)
-            epoch_loss += loss * len(rows)
+                t += 1
+                _adam_update(theta, g, m, v, t, cfg)
+                set_flat_parameters(net, theta)
+                epoch_loss += loss * len(rows)
+            val_nll = nll_loss(net, arch, y_val, x_val)
+        except (NonFiniteLossError, DegenerateMarginalError, EvaluationError, DomainError) as exc:
+            # a step broke evaluation (overflow, flattened marginal);
+            # hand back the last good parameters with the partial report
+            set_flat_parameters(net, best_theta)
+            report.stopped_epoch = epoch
+            report.wall_time = time.perf_counter() - start
+            raise TrainingError(
+                f"epoch {epoch}: {exc}; parameters restored to the best "
+                "checkpoint so far",
+                report=report,
+            ) from exc
         train_nll = epoch_loss / n_tr
-        val_nll = nll_loss(net, arch, y_val, x_val)
         report.train_nll.append(train_nll)
         report.val_nll.append(val_nll)
         report.stopped_epoch = epoch
@@ -376,7 +263,6 @@ def train(arch: ArchitectureDescriptor, targets, features=None, config=None, log
                 break
     set_flat_parameters(net, best_theta)
     report.wall_time = time.perf_counter() - start
-    report.optimizer_state = {"adam_m": m, "adam_v": v, "adam_t": t, "epoch": report.stopped_epoch}
     return net, report
 
 

@@ -78,41 +78,49 @@ def test_broadcast_unbroadcast_shapes():
     np.testing.assert_allclose(c.grad, (a.data + b.data).sum())
 
 
-def test_matmul_grad():
+@pytest.mark.parametrize("layout", ["shared", "per_row", "shared_points"])
+def test_affine_grads(layout):
+    # shared: a (m, in), w (out, in), b (out,); per row: a (n, k, in),
+    # w (n, out, in), b (n, out), row i's points under row i's weights;
+    # shared points: one (k, in) set of points under every row's weights
     rng = np.random.default_rng(2)
-    x = rng.normal(size=(3, 2))
-    w = rng.normal(size=(2, 4))
-    tw = ad.leaf(w.copy())
-    root = ad.sumall(ad.matmul(ad.leaf(x), tw))
-    ad.backward(root)
+    if layout == "shared":
+        a, w, b = rng.normal(size=(5, 3)), rng.normal(size=(4, 3)), rng.normal(size=4)
+        want = a @ w.T + b
+    else:
+        a = rng.normal(size=(6, 2, 3) if layout == "per_row" else (2, 3))
+        w, b = rng.normal(size=(6, 4, 3)), rng.normal(size=(6, 4))
+        want = np.einsum("...ki,...oi->...ko", a, w) + b[:, None, :]
+    np.testing.assert_allclose(ad.affine(a, w, b), want, rtol=1e-14)
+    coeff = rng.normal(size=want.shape)
 
-    def f(arr):
-        return float(ad.sumall(ad.matmul(ad.leaf(x), ad.leaf(arr))).data)
+    def loss(a, w, b):
+        return ad.sumall(ad.mul(ad.affine(a, w, b), coeff))
 
-    np.testing.assert_allclose(tw.grad, fd_grad(f, w), rtol=1e-6, atol=1e-8)
+    check_op(lambda t: loss(t, w, b), a)
+    check_op(lambda t: loss(a, t, b), w)
+    check_op(lambda t: loss(a, w, t), b)
+    check_op(lambda t: ad.sumall(ad.mul(ad.affine(a, t), coeff)), w)  # no bias
 
 
-def test_transpose_reshape_grads():
+def test_reshape_grad():
     rng = np.random.default_rng(3)
     x = rng.normal(size=(2, 5))
-    check_op(lambda t: ad.sumall(ad.mul(ad.transpose(t), ad.transpose(t))), x)
-    check_op(lambda t: ad.sumall(ad.mul(ad.reshape(t, (5, 2)), ad.leaf(np.arange(10.0).reshape(5, 2)))), x)
+    coeff = np.arange(10.0).reshape(5, 2)
+    check_op(lambda t: ad.sumall(ad.mul(ad.reshape(t, (5, 2)), ad.leaf(coeff))), x)
 
 
-def test_bmv_matches_einsum():
-    rng = np.random.default_rng(4)
-    w = rng.normal(size=(6, 3, 2))
-    v = rng.normal(size=(6, 2))
-    out = ad.bmv(ad.leaf(w), ad.leaf(v))
-    np.testing.assert_allclose(out.data, np.einsum("noi,ni->no", w, v), rtol=1e-14)
-
-    tw = ad.leaf(w.copy())
-    tv = ad.leaf(v.copy())
-    coeff = rng.normal(size=(6, 3))
-    root = ad.sumall(ad.mul(ad.bmv(tw, tv), ad.leaf(coeff)))
-    ad.backward(root)
-    np.testing.assert_allclose(tw.grad, np.einsum("no,ni->noi", coeff, v), rtol=1e-12)
-    np.testing.assert_allclose(tv.grad, np.einsum("no,noi->ni", coeff, w), rtol=1e-12)
+def test_ops_on_plain_arrays_build_no_graph():
+    x = np.array([[0.5, 1.5], [2.0, 0.25]])
+    w = np.array([[1.0, -1.0], [0.5, 2.0]])
+    outs = [
+        ad.add(x, x), ad.sub(x, 1.0), ad.mul(x, x), ad.div(x, 2.0),
+        ad.affine(x, w, np.ones(2)), ad.affine(x, w), ad.reshape(x, (4,)), ad.getitem(x, 0),
+        ad.stack([x[:, 0], x[:, 1]]), ad.sumall(x), ad.mean(x), ad.log(x), ad.exp(x),
+        ad.tanh(x), ad.sigmoid(x), ad.softplus(x), ad.relu(x), ad.step(x),
+    ]
+    for out in outs:
+        assert isinstance(out, np.ndarray) and not isinstance(out, ad.Tensor)
 
 
 def test_getitem_scatter_grad():

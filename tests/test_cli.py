@@ -62,6 +62,22 @@ def test_train_writes_model_and_history(trained):
     assert len(lines) >= 2
 
 
+def test_documents_carry_no_optimizer_state(trained):
+    # nothing reads Adam's moments back, so saves leave them out; the
+    # committed documents still carry the old "training_state" block and load
+    from jdan.copula import joint_pdf
+    from jdan.model_io import load_model
+
+    assert "training_state" not in json.loads(open(trained["model"]).read())
+    runs = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "runs")
+    for name, features in (("uniform_d2_model.json", None), ("conditional_d2_model.json", 0.5)):
+        fc, doc = load_model(os.path.join(runs, name))
+        assert "training_state" in doc
+        x = None if features is None else np.full(fc.net.input_dim, features)
+        y = np.array([0.5 * (b.lower + b.upper) for b in fc.arch.bounds])
+        assert np.isfinite(joint_pdf(fc.model_for(x), y))
+
+
 def test_train_is_reproducible(trained, tmp_path):
     # same config, fresh output dir: byte-identical history NLL columns
     cfg = json.loads(open(trained["config"]).read())

@@ -4,7 +4,16 @@ import numpy as np
 import pytest
 
 from jdan.copula import joint_pdf, sample
-from jdan.errors import ConfigError, ContractError, NonFiniteLossError, TrainingError
+from jdan import training
+from jdan.errors import (
+    ConfigError,
+    ContractError,
+    DegenerateMarginalError,
+    DomainError,
+    EvaluationError,
+    NonFiniteLossError,
+    TrainingError,
+)
 from jdan.hypernet import Forecaster, flatten, initialize_net, materialize
 from jdan.training import (
     LOG_EPS,
@@ -32,29 +41,40 @@ def numpy_nll(net, arch, targets):
     return float(np.mean(-np.log(dens + LOG_EPS)))
 
 
+# one loop per test rather than parametrize keeps the test ids stable
+ACTIVATIONS = ("sigmoid", "tanh", "linear", "relu", "exp")
+SMOOTH = ("sigmoid", "tanh", "exp", "linear")  # finite differences fail at relu's kink
+
+
 def test_nll_matches_numpy_path_unconditional():
     rng = np.random.default_rng(0)
-    arch = unit_arch(dim=3, hidden=(6,))
-    net = initialize_net(arch, seed=1)
-    targets = rng.uniform(0.05, 0.95, size=(40, 3))
-    tape = nll_loss(net, arch, targets)
-    plain = numpy_nll(net, arch, targets)
-    assert tape == pytest.approx(plain, abs=1e-12)
+    for activation in ACTIVATIONS:
+        for dim in (2, 3):
+            arch = unit_arch(dim=dim, hidden=(6,), activation=activation)
+            net = initialize_net(arch, seed=1)
+            targets = rng.uniform(0.05, 0.95, size=(40, dim))
+            plain = numpy_nll(net, arch, targets)
+            assert nll_loss(net, arch, targets) == pytest.approx(plain, abs=1e-12)
+            tape, _ = nll_grad(net, arch, targets)
+            assert tape == pytest.approx(plain, abs=1e-12), (activation, dim)
 
 
 def test_nll_matches_numpy_path_conditional():
     rng = np.random.default_rng(1)
-    arch = unit_arch(dim=2, feature_dim=2, hyper=(8,))
-    net = initialize_net(arch, seed=2)
-    feats = rng.normal(size=(25, 2))
-    targets = rng.uniform(0.05, 0.95, size=(25, 2))
-    tape = nll_loss(net, arch, targets, feats)
-    fc = Forecaster(net, arch)
-    dens = np.array(
-        [joint_pdf(fc.model_for(x), y) for x, y in zip(feats, targets)]
-    )
-    plain = float(np.mean(-np.log(dens + LOG_EPS)))
-    assert tape == pytest.approx(plain, abs=1e-12)
+    for activation in ACTIVATIONS:
+        for dim in (2, 3):
+            arch = unit_arch(dim=dim, feature_dim=2, hyper=(8,), activation=activation)
+            net = initialize_net(arch, seed=2)
+            feats = rng.normal(size=(25, 2))
+            targets = rng.uniform(0.05, 0.95, size=(25, dim))
+            fc = Forecaster(net, arch)
+            dens = np.array(
+                [joint_pdf(fc.model_for(x), y) for x, y in zip(feats, targets)]
+            )
+            plain = float(np.mean(-np.log(dens + LOG_EPS)))
+            assert nll_loss(net, arch, targets, feats) == pytest.approx(plain, abs=1e-12)
+            tape, _ = nll_grad(net, arch, targets, feats)
+            assert tape == pytest.approx(plain, abs=1e-12), (activation, dim)
 
 
 def test_uniform_independent_model_has_zero_nll():
@@ -114,21 +134,23 @@ def test_grad_scales_linearly_with_repeated_data():
 
 def test_grad_check_healthy_unconditional():
     rng = np.random.default_rng(6)
-    arch = unit_arch(dim=2, hidden=(5,))
-    net = initialize_net(arch, seed=7)
-    targets = rng.uniform(0.1, 0.9, size=(20, 2))
-    worst = grad_check(net, arch, targets)
-    assert worst <= 1e-4
+    for activation in SMOOTH:
+        arch = unit_arch(dim=2, hidden=(5,), activation=activation)
+        net = initialize_net(arch, seed=7)
+        targets = rng.uniform(0.1, 0.9, size=(20, 2))
+        worst = grad_check(net, arch, targets)
+        assert worst <= 1e-4, activation
 
 
 def test_grad_check_healthy_conditional():
     rng = np.random.default_rng(7)
-    arch = unit_arch(dim=2, feature_dim=1, hyper=(6,))
-    net = initialize_net(arch, seed=8)
-    feats = rng.normal(size=(15, 1))
-    targets = rng.uniform(0.1, 0.9, size=(15, 2))
-    worst = grad_check(net, arch, targets, feats, max_coords=40, seed=0)
-    assert worst <= 1e-4
+    for activation in SMOOTH:
+        arch = unit_arch(dim=2, feature_dim=1, hyper=(6,), activation=activation)
+        net = initialize_net(arch, seed=8)
+        feats = rng.normal(size=(15, 1))
+        targets = rng.uniform(0.1, 0.9, size=(15, 2))
+        worst = grad_check(net, arch, targets, feats, max_coords=40, seed=0)
+        assert worst <= 1e-4, activation
 
 
 def test_grad_check_detects_bad_step_size():
@@ -260,19 +282,38 @@ def test_nonfinite_loss_reports_sample_and_training_recovers():
         nll_loss(net, arch, targets)
 
 
-def test_training_error_carries_report():
-    # blow up the optimizer with an absurd learning rate on a tiny batch;
-    # if it survives anyway, the run must at least finish cleanly
+def test_training_error_carries_report(monkeypatch):
+    # blow up the optimizer with an absurd learning rate on a tiny batch: the
+    # first step flattens or overflows a marginal, and train stops with its
+    # report; a linear model may survive, and then it must finish cleanly
     rng = np.random.default_rng(14)
-    arch = unit_arch(dim=2, hidden=(4,))
     targets = rng.uniform(size=(64, 2))
     cfg = TrainConfig(max_epochs=50, batch_size=8, learning_rate=1e6, seed=0)
+    for activation in ("sigmoid", "tanh", "exp", "relu"):
+        arch = unit_arch(dim=2, hidden=(4,), activation=activation)
+        with np.errstate(over="ignore"), pytest.raises(TrainingError) as err:
+            train(arch, targets, config=cfg)
+        report = err.value.report
+        assert isinstance(report, TrainReport), activation
+        assert report.stopped_epoch == 1
+        assert np.isfinite(report.best_validation_nll)
+    arch = unit_arch(dim=2, hidden=(4,), activation="linear")
     try:
         _, report = train(arch, targets, config=cfg)
     except TrainingError as err:
         report = err.report
     assert isinstance(report, TrainReport)
     assert np.isfinite(report.best_validation_nll)
+    # every error the evaluation kernel raises ends the same way
+    for error in (EvaluationError, DegenerateMarginalError, DomainError, NonFiniteLossError):
+        def broken(*args, error=error):
+            raise error("broken step")
+
+        monkeypatch.setattr(training, "nll_grad", broken)
+        with pytest.raises(TrainingError) as err:
+            train(arch, targets, config=cfg)
+        assert isinstance(err.value.__cause__, error)
+        assert err.value.report.stopped_epoch == 1
 
 
 def test_write_history_csv(tmp_path):
