@@ -36,6 +36,7 @@ from .marginal import Bounds, MarginalNetParams, inverse_cdf, normalized_cdf, no
 from .metrics import MetricsReport, evaluate_forecaster
 from .miso import MisoNetParams, find_negative_witness, miso_mixed_partial
 from .model_io import load_model, save_model
+from . import parallel  # noqa: F401  unused here; perfbench's tracer looks it up by name
 from .training import TrainConfig, TrainReport, grad_check, nll_grad, nll_loss, train
 
 __version__ = "0.1.0"

@@ -21,8 +21,7 @@ from .hypernet import ArchitectureDescriptor, Forecaster
 from .marginal import inverse_cdf, normalized_cdf
 from .metrics import evaluate_forecaster, pit_values
 from .miso import find_negative_witness
-from .parallel import worker_count
-from .training import TrainConfig, train, write_history_csv
+from .training import TrainConfig, train
 
 _TRAIN_KEYS = {
     "learning_rate", "batch_size", "max_epochs", "patience",
@@ -42,11 +41,34 @@ def _resolve(path, base):
     return os.path.normpath(os.path.join(base, path))
 
 
-def _write_text(path, text):
-    parent = os.path.dirname(os.path.abspath(path))
-    os.makedirs(parent, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
+def _with_parent(path):
+    """path, once its directory exists."""
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    return path
+
+
+def _emit(args, path, text, note=None):
+    """Write text to path and say note, or write it to stdout when there is no path."""
+    if not path:
+        sys.stdout.write(text)
+        return
+    with open(_with_parent(path), "w", encoding="utf-8") as fh:
         fh.write(text)
+    if note is not None:
+        _say(args, note)
+
+
+def _csv(header, table):
+    """A header line, then one line per table row, every value at full float precision."""
+    table = np.asarray(table, dtype=np.float64)
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    # one % per block of rows: formatting a whole 512x512 grid at once left the
+    # process about 1 MB larger after every call
+    parts = [",".join(header) + "\n"]
+    for i in range(0, table.shape[0], 1024):
+        block = table[i:i + 1024]
+        parts.append((row * block.shape[0]) % tuple(block.ravel().tolist()))
+    return "".join(parts)
 
 
 def _load_config(args):
@@ -57,6 +79,8 @@ def _load_config(args):
             cfg = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{args.config}: not valid JSON ({exc})") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{args.config}: a config must be a JSON object")
     return cfg, os.path.dirname(os.path.abspath(args.config))
 
 
@@ -88,33 +112,36 @@ def _arch_from_config(cfg, dim, feature_dim, bounds):
 
 def cmd_train(args):
     cfg, base = _load_config(args)
-    seed = _require_seed(args, cfg)
-    data_cfg = cfg.get("data")
-    if not data_cfg or "path" not in data_cfg:
-        raise ConfigError("config needs a data section with a path")
-    spec = LoadSpec(
-        feature_columns=data_cfg.get("feature_columns", []),
-        target_columns=data_cfg.get("target_columns", []),
-        lag_windows=data_cfg.get("lag_windows", []),
-    )
-    ds = load_csv(_resolve(data_cfg["path"], base), spec)
-    if ds.n_dropped:
-        _say(args, f"dropped {ds.n_dropped} rows with missing values")
+    try:  # a wrongly typed config field surfaces as one of these
+        seed = _require_seed(args, cfg)
+        data_cfg = cfg.get("data")
+        if not data_cfg or "path" not in data_cfg:
+            raise ConfigError("config needs a data section with a path")
+        spec = LoadSpec(
+            feature_columns=data_cfg.get("feature_columns", []),
+            target_columns=data_cfg.get("target_columns", []),
+            lag_windows=data_cfg.get("lag_windows", []),
+        )
+        ds = load_csv(_resolve(data_cfg["path"], base), spec)
+        if ds.n_dropped:
+            _say(args, f"dropped {ds.n_dropped} rows with missing values")
 
-    bounds_cfg = cfg.get("bounds", {"margin": 0.05})
-    if isinstance(bounds_cfg, list):
-        bounds = [tuple(b) for b in bounds_cfg]
-    else:
-        bounds = fit_bounds(ds.targets, margin=float(bounds_cfg.get("margin", 0.05)))
-    dim = ds.targets.shape[1]
-    feature_dim = ds.features.shape[1]
-    arch = _arch_from_config(cfg, dim, feature_dim, bounds)
+        bounds_cfg = cfg.get("bounds", {"margin": 0.05})
+        if isinstance(bounds_cfg, list):
+            bounds = [tuple(b) for b in bounds_cfg]
+        else:
+            bounds = fit_bounds(ds.targets, margin=float(bounds_cfg.get("margin", 0.05)))
+        dim = ds.targets.shape[1]
+        feature_dim = ds.features.shape[1]
+        arch = _arch_from_config(cfg, dim, feature_dim, bounds)
 
-    t_cfg = dict(cfg.get("training", {}))
-    unknown = set(t_cfg) - _TRAIN_KEYS
-    if unknown:
-        raise ConfigError(f"unknown training option(s): {', '.join(sorted(unknown))}")
-    tc = TrainConfig(seed=seed, **t_cfg)
+        t_cfg = dict(cfg.get("training", {}))
+        unknown = set(t_cfg) - _TRAIN_KEYS
+        if unknown:
+            raise ConfigError(f"unknown training option(s): {', '.join(sorted(unknown))}")
+        tc = TrainConfig(seed=seed, **t_cfg)
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{args.config}: malformed config ({exc})") from exc
 
     scaler = None
     features = None
@@ -135,13 +162,13 @@ def cmd_train(args):
         "target_columns": spec.target_columns,
         "lag_windows": spec.lag_windows,
     }
-    parent = os.path.dirname(os.path.abspath(out))
-    os.makedirs(parent, exist_ok=True)
-    model_io.save_model(out, fc, data_spec=data_spec)
+    model_io.save_model(_with_parent(out), fc, data_spec=data_spec)
     history = _resolve(cfg.get("history_out"), base) or os.path.splitext(out)[0] + "_history.csv"
-    os.makedirs(os.path.dirname(os.path.abspath(history)), exist_ok=True)
-    write_history_csv(report, history)
-    _say(args, f"model written to {out}; history to {history}")
+    epochs = np.arange(1, len(report.train_nll) + 1)
+    _emit(args, history,
+          _csv(["epoch", "train_nll", "val_nll"],
+               np.column_stack([epochs, report.train_nll, report.val_nll])),
+          f"model written to {out}; history to {history}")
     print(f"final validation nll {report.best_validation_nll:.6f}"
           f" (epoch {report.best_epoch} of {report.stopped_epoch})")
     return 0
@@ -152,8 +179,10 @@ def _features_arg(fc, text):
         return None
     if text is None:
         raise ConfigError("this model is conditional; pass --features v1,v2,...")
-    vals = np.array([float(v) for v in text.split(",")], dtype=np.float64)
-    return vals
+    try:
+        return np.array([float(v) for v in text.split(",")], dtype=np.float64)
+    except ValueError:
+        raise ConfigError(f"--features expects comma-separated numbers, got {text!r}") from None
 
 
 def cmd_evaluate(args):
@@ -170,19 +199,12 @@ def cmd_evaluate(args):
         fc, ds.targets, features, m_samples=args.energy_samples, seed=seed,
         with_energy=not args.no_energy,
     )
-    text = report.to_json()
-    if args.out:
-        _write_text(args.out, text + "\n")
-        _say(args, f"report written to {args.out}")
-    else:
-        print(text)
+    _emit(args, args.out, report.to_json() + "\n", f"report written to {args.out}")
     if not args.quiet:
         print(report.format_table())
     if args.pit_out:
         pit = pit_values(fc, ds.targets, features)
-        rows = [",".join(f"u{d+1}" for d in range(pit.shape[1]))]
-        rows += [",".join(f"{v:.17g}" for v in row) for row in pit]
-        _write_text(args.pit_out, "\n".join(rows) + "\n")
+        _emit(args, args.pit_out, _csv([f"u{d+1}" for d in range(pit.shape[1])], pit))
     return 0
 
 
@@ -226,16 +248,9 @@ def cmd_density(args):
         points[:, d] = v
     for ax, d in enumerate(free):
         points[:, d] = mesh[ax].reshape(-1)
-    dens = joint_pdf(model, points)
-    lines = [",".join([f"y{d+1}" for d in range(model.dim)] + ["pdf"])]
-    for row, p in zip(points, dens):
-        lines.append(",".join(f"{v:.17g}" for v in row) + f",{p:.17g}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        _write_text(args.out, text)
-        _say(args, f"{n_rows} grid densities written to {args.out}")
-    else:
-        sys.stdout.write(text)
+    table = np.column_stack([points, joint_pdf(model, points)])
+    _emit(args, args.out, _csv([f"y{d+1}" for d in range(model.dim)] + ["pdf"], table),
+          f"{n_rows} grid densities written to {args.out}")
     return 0
 
 
@@ -247,15 +262,8 @@ def cmd_sample(args):
         raise ConfigError("--count must be >= 1")
     model = fc.model_for(_features_arg(fc, args.features))
     draws = model_sample(model, args.count, args.seed)
-    lines = [",".join(f"y{d+1}" for d in range(model.dim))]
-    for row in draws:
-        lines.append(",".join(f"{v:.17g}" for v in row))
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        _write_text(args.out, text)
-        _say(args, f"{args.count} samples written to {args.out}")
-    else:
-        sys.stdout.write(text)
+    _emit(args, args.out, _csv([f"y{d+1}" for d in range(model.dim)], draws),
+          f"{args.count} samples written to {args.out}")
     return 0
 
 
@@ -296,12 +304,7 @@ def cmd_diagnose_miso(args):
             "negative mixed partial found: a single multi-input monotone network "
             "of this activation cannot serve as a joint CDF"
         )
-    text = json.dumps(report, indent=2)
-    if args.out:
-        _write_text(args.out, text + "\n")
-        _say(args, f"report written to {args.out}")
-    else:
-        print(text)
+    _emit(args, args.out, json.dumps(report, indent=2) + "\n", f"report written to {args.out}")
     return 0
 
 
@@ -492,7 +495,6 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        worker_count()  # reject a malformed JDAN_THREADS on every path
         return args.fn(args)
     except (ConfigError, ContractError, DataError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -163,6 +163,8 @@ def load_model(path):
         return doc_to_forecaster(doc), doc
     except KeyError as exc:
         raise ConfigError(f"{path}: model document missing key {exc}") from exc
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: malformed model document ({exc})") from exc
 
 
 def load_spec_from_doc(doc) -> LoadSpec:

@@ -265,10 +265,3 @@ def train(arch: ArchitectureDescriptor, targets, features=None, config=None, log
     report.wall_time = time.perf_counter() - start
     return net, report
 
-
-def write_history_csv(report: TrainReport, path):
-    """epoch,train_nll,val_nll rows, full float precision."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("epoch,train_nll,val_nll\n")
-        for i, (tr, va) in enumerate(zip(report.train_nll, report.val_nll), start=1):
-            fh.write(f"{i},{tr:.17g},{va:.17g}\n")

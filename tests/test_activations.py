@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from jdan.activations import KINDS, act_d1, act_d2, act_eval
 from jdan.errors import ContractError, DomainError
-from jdan.numerics import central_fd
+from jdan.numerics import central_fd, sigmoid
 
 finite_x = st.floats(-10.0, 10.0, allow_nan=False)
 
@@ -99,3 +99,31 @@ def test_unknown_kind_and_nonfinite_input():
         act_eval("sigmoid", np.nan)
     with pytest.raises(DomainError):
         act_d1("tanh", np.inf)
+
+
+def two_branch_sigmoid(x):
+    """1/(1 + e^-x) where x >= 0 and e^x/(1 + e^x) elsewhere, one masked branch each."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+@pytest.mark.parametrize("rows", [256, 16384])
+def test_sigmoid_bitwise_equals_two_branch_formula(rows):
+    extremes = [0.0, -0.0, 800.0, -800.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 36.7, -745.2]
+    x = np.random.default_rng(rows).normal(scale=30.0, size=(rows, 10))
+    x.flat[: len(extremes)] = extremes
+    got, want = sigmoid(x), two_branch_sigmoid(x)
+    assert got.shape == x.shape and got.dtype == np.float64
+    nan = np.isnan(want)
+    np.testing.assert_array_equal(np.isnan(got), nan)
+    np.testing.assert_array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
+    # a 0-d input still gives an ndarray back
+    for v in extremes:
+        out = sigmoid(np.float64(v))
+        assert isinstance(out, np.ndarray) and out.ndim == 0
+        assert out.tobytes() == two_branch_sigmoid(v).tobytes() or np.isnan(v)

@@ -8,6 +8,14 @@ import numpy as np
 import pytest
 
 from jdan.cli import main
+from jdan.copula import joint_pdf, sample
+from jdan.data import LoadSpec, load_csv
+from jdan.hypernet import ArchitectureDescriptor
+from jdan.metrics import pit_values
+from jdan.model_io import load_model, load_spec_from_doc
+from jdan.training import TrainConfig, train
+
+RUNS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "runs")
 
 # training fixtures here are deliberately tiny; the batch-count advisory is noise
 pytestmark = pytest.mark.filterwarnings("ignore:only .* samples:UserWarning")
@@ -59,19 +67,24 @@ def test_train_writes_model_and_history(trained):
     history = os.path.join(trained["root"], "run", "model_history.csv")
     lines = open(history).read().strip().splitlines()
     assert lines[0] == "epoch,train_nll,val_nll"
-    assert len(lines) >= 2
+    # the same fit in-process: one row per epoch, counted from 1, and floats
+    # that read back to exactly the values training reported
+    ds = load_csv(str(trained["data"]), LoadSpec(target_columns=["y1", "y2"]))
+    arch = ArchitectureDescriptor(dim=2, bounds=[(0.0, 1.0), (0.0, 1.0)])
+    _, report = train(arch, ds.targets, config=TrainConfig(
+        seed=1, learning_rate=0.01, batch_size=128, max_epochs=8, patience=5))
+    rows = [line.split(",") for line in lines[1:]]
+    assert [r[0] for r in rows] == [str(i) for i in range(1, report.stopped_epoch + 1)]
+    assert [float(r[1]) for r in rows] == report.train_nll
+    assert [float(r[2]) for r in rows] == report.val_nll
 
 
 def test_documents_carry_no_optimizer_state(trained):
     # nothing reads Adam's moments back, so saves leave them out; the
     # committed documents still carry the old "training_state" block and load
-    from jdan.copula import joint_pdf
-    from jdan.model_io import load_model
-
     assert "training_state" not in json.loads(open(trained["model"]).read())
-    runs = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "runs")
     for name, features in (("uniform_d2_model.json", None), ("conditional_d2_model.json", 0.5)):
-        fc, doc = load_model(os.path.join(runs, name))
+        fc, doc = load_model(os.path.join(RUNS, name))
         assert "training_state" in doc
         x = None if features is None else np.full(fc.net.input_dim, features)
         y = np.array([0.5 * (b.lower + b.upper) for b in fc.arch.bounds])
@@ -113,6 +126,7 @@ def test_evaluate_writes_report(trained, tmp_path, capsys):
     assert all(k <= 1.63 / np.sqrt(400) * 2 for k in rep["pit_ks"])
     assert rep["n_evaluated"] == 400
     table = capsys.readouterr().out
+    assert table.startswith(f"report written to {out}\n")
     assert "log score" in table
 
 
@@ -176,6 +190,44 @@ def test_sample_deterministic_bytes(trained, tmp_path):
     vals = np.array(rows[1:], dtype=float)
     assert vals.shape == (200, 2)
     assert np.all((vals >= 0) & (vals <= 1))
+
+
+def per_cell_csv(header, table):
+    lines = [",".join(header)] + [",".join(f"{v:.17g}" for v in row) for row in table]
+    return "\n".join(lines) + "\n"
+
+
+def test_csv_outputs_match_per_cell_rendering(trained, tmp_path, capsys):
+    fc, doc = load_model(trained["model"])
+    model = fc.model_for(None)
+
+    out = tmp_path / "draws.csv"
+    argv = ["sample", "--model", trained["model"], "-n", "300", "--seed", "5", "--quiet"]
+    assert main(argv + ["--out", str(out)]) == 0
+    want = per_cell_csv(["y1", "y2"], sample(model, 300, 5))
+    assert out.read_text() == want
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert capsys.readouterr().out == want
+
+    # cell centers of an 8-cell grid per free dimension, y1 varying slowest
+    centers = (np.arange(8) + 0.5) * (1.0 / 8)
+    full = np.array([[a, b] for a in centers for b in centers])
+    pinned = np.column_stack([centers, np.full(8, 0.25)])
+    for fix, points in (([], full), (["--fix", "2=0.25"], pinned)):
+        out = tmp_path / "grid.csv"
+        assert main(["density", "--model", trained["model"], "--grid", "8", "--quiet",
+                     "--out", str(out)] + fix) == 0
+        table = np.column_stack([points, joint_pdf(model, points)])
+        assert out.read_text() == per_cell_csv(["y1", "y2", "pdf"], table)
+
+    test_csv = write_uniform_csv(tmp_path / "test.csv", n=50, seed=8)
+    pit_path = tmp_path / "pit.csv"
+    assert main(["evaluate", "--model", trained["model"], "--data", str(test_csv),
+                 "--no-energy", "--quiet", "--pit-out", str(pit_path),
+                 "--out", str(tmp_path / "report.json")]) == 0
+    targets = load_csv(str(test_csv), load_spec_from_doc(doc)).targets
+    assert pit_path.read_text() == per_cell_csv(["u1", "u2"], pit_values(fc, targets))
 
 
 def test_sample_requires_seed(trained, tmp_path):
@@ -248,6 +300,43 @@ def test_exit_code_2_on_bad_model_document(trained, tmp_path):
     assert main(["verify", "--model", str(trunc)]) == 2
 
 
+MALFORMED = {
+    "features_not_numbers": ("sample", None),
+    "config_is_a_list": ("train", [1, 2]),
+    "config_string_bound": ("train", {"bounds": [["a", 1.0], [0.0, 1.0]]}),
+    "config_hidden_is_int": ("train", {"architecture": {"marginal_hidden": 5}}),
+    "document_is_a_list": ("verify", [1, 2]),
+    "document_string_bound": ("verify", lambda d: d["bounds"][0].update(lower="a")),
+    "document_hidden_is_int": ("verify", lambda d: d["architecture"].update(marginal_hidden=5)),
+    "document_raw_is_text": ("verify", lambda d: d.update(correlations={"raw": "x"})),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_exits_2(case, trained, tmp_path, capsys):
+    command, content = MALFORMED[case]
+    path = tmp_path / "input.json"
+    if command == "sample":
+        argv = ["sample", "--model", os.path.join(RUNS, "conditional_d2_model.json"),
+                "-n", "5", "--seed", "1", "--features", "abc"]
+    elif command == "train":
+        if isinstance(content, dict):
+            content = {"seed": 0, "out": "m.json",
+                       "data": {"path": str(trained["data"]), "target_columns": ["y1", "y2"]},
+                       "training": {"max_epochs": 1}, **content}
+        path.write_text(json.dumps(content))
+        argv = ["train", "--config", str(path), "--seed", "1", "--quiet"]
+    else:
+        if callable(content):
+            doc = json.loads(open(trained["model"]).read())
+            content(doc)
+            content = doc
+        path.write_text(json.dumps(content))
+        argv = ["verify", "--model", str(path)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_density_too_many_free_dims(tmp_path):
     # 4-D model with nothing fixed: refuse to emit a 4-D grid
     rng = np.random.default_rng(0)
@@ -275,23 +364,6 @@ def test_density_too_many_free_dims(tmp_path):
     assert main(["density", "--model", model, "--grid", "8", "--quiet",
                  "--fix", "3=0.5", "--fix", "4=0.5",
                  "--out", str(tmp_path / "ok.csv")]) == 0
-
-
-def test_jdan_threads_env(trained, tmp_path, monkeypatch):
-    monkeypatch.setenv("JDAN_THREADS", "1")
-    test_csv = write_uniform_csv(tmp_path / "t.csv", n=40, seed=4)
-    rc = main([
-        "evaluate", "--model", trained["model"], "--data", str(test_csv),
-        "--no-energy", "--seed", "0", "--quiet",
-        "--out", str(tmp_path / "r.json"),
-    ])
-    assert rc == 0
-    monkeypatch.setenv("JDAN_THREADS", "zero")
-    assert main([
-        "evaluate", "--model", trained["model"], "--data", str(test_csv),
-        "--no-energy", "--seed", "0", "--quiet",
-        "--out", str(tmp_path / "r2.json"),
-    ]) == 2
 
 
 def test_conditional_round_trip(tmp_path):

@@ -25,7 +25,6 @@ from jdan.training import (
     nll_loss,
     set_flat_parameters,
     train,
-    write_history_csv,
 )
 
 from conftest import unit_arch
@@ -315,19 +314,3 @@ def test_training_error_carries_report(monkeypatch):
         assert isinstance(err.value.__cause__, error)
         assert err.value.report.stopped_epoch == 1
 
-
-def test_write_history_csv(tmp_path):
-    report = TrainReport(
-        train_nll=[0.5, 0.4],
-        val_nll=[0.55, 0.45],
-        stopped_epoch=2,
-        best_epoch=2,
-        best_validation_nll=0.45,
-    )
-    path = tmp_path / "hist.csv"
-    write_history_csv(report, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "epoch,train_nll,val_nll"
-    assert len(lines) == 3  # header + one row per epoch, starting at 1
-    first = lines[1].split(",")
-    assert first[0] == "1" and float(first[1]) == 0.5 and float(first[2]) == 0.55
