@@ -1,9 +1,13 @@
 """Likelihood on the tape, gradient checks and the optimizer loop."""
 
+import json
+
 import numpy as np
 import pytest
 
+from jdan.cli import main
 from jdan.copula import joint_pdf, sample
+from jdan.data import LoadSpec, load_csv
 from jdan import training
 from jdan.errors import (
     ConfigError,
@@ -14,7 +18,7 @@ from jdan.errors import (
     NonFiniteLossError,
     TrainingError,
 )
-from jdan.hypernet import Forecaster, flatten, initialize_net, materialize
+from jdan.hypernet import ArchitectureDescriptor, Forecaster, flatten, initialize_net, materialize
 from jdan.training import (
     LOG_EPS,
     TrainConfig,
@@ -314,3 +318,33 @@ def test_training_error_carries_report(monkeypatch):
         assert isinstance(err.value.__cause__, error)
         assert err.value.report.stopped_epoch == 1
 
+
+
+def test_write_history_csv(tmp_path):
+    # the CLI writes the history; its rows must be the report of the same fit
+    rng = np.random.default_rng(15)
+    targets = rng.uniform(size=(200, 2))
+    rows = "\n".join(f"{a:.10f},{b:.10f}" for a, b in targets)
+    (tmp_path / "train.csv").write_text("y1,y2\n" + rows + "\n", encoding="utf-8")
+    config = {
+        "seed": 3,
+        "data": {"path": "train.csv", "target_columns": ["y1", "y2"]},
+        "bounds": [[0.0, 1.0], [0.0, 1.0]],
+        "architecture": {"marginal_hidden": [4]},
+        "training": {"learning_rate": 0.01, "batch_size": 64, "max_epochs": 3},
+        "out": "model.json",
+    }
+    (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    assert main(["train", "--config", str(tmp_path / "config.json"), "--quiet"]) == 0
+
+    ds = load_csv(str(tmp_path / "train.csv"), LoadSpec(target_columns=["y1", "y2"]))
+    arch = ArchitectureDescriptor(dim=2, bounds=[(0.0, 1.0)] * 2, marginal_hidden=[[4], [4]])
+    _, report = train(arch, ds.targets, config=TrainConfig(
+        seed=3, learning_rate=0.01, batch_size=64, max_epochs=3))
+    lines = (tmp_path / "model_history.csv").read_text().strip().splitlines()
+    assert lines[0] == "epoch,train_nll,val_nll"
+    assert len(lines) == report.stopped_epoch + 1  # header + one row per epoch
+    rows = [line.split(",") for line in lines[1:]]
+    assert [r[0] for r in rows] == [str(i) for i in range(1, report.stopped_epoch + 1)]
+    assert [float(r[1]) for r in rows] == report.train_nll
+    assert [float(r[2]) for r in rows] == report.val_nll
