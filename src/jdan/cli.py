@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from . import model_io
-from .copula import joint_cdf, joint_pdf, mixed_partial_fd, sample as model_sample
+from .copula import joint_cdf, joint_pdf, mixed_partial_fd, row_blocks, sample as model_sample
 from .data import ColumnScaler, LoadSpec, fit_bounds, load_csv
 from .errors import ConfigError, ContractError, DataError, JdanError
 from .hypernet import ArchitectureDescriptor, Forecaster
@@ -47,28 +47,24 @@ def _with_parent(path):
     return path
 
 
-def _emit(args, path, text, note=None):
-    """Write text to path and say note, or write it to stdout when there is no path."""
+def _emit(args, path, parts, note=None):
+    """Write the text parts to path and say note, or to stdout when there is no path."""
     if not path:
-        sys.stdout.write(text)
+        sys.stdout.writelines(parts)
         return
     with open(_with_parent(path), "w", encoding="utf-8") as fh:
-        fh.write(text)
+        fh.writelines(parts)
     if note is not None:
         _say(args, note)
 
 
 def _csv(header, table):
-    """A header line, then one line per table row, every value at full float precision."""
+    """Header line, then one line per row at full float precision; a part per block of rows."""
     table = np.asarray(table, dtype=np.float64)
     row = ",".join(["%.17g"] * table.shape[1]) + "\n"
-    # one % per block of rows: formatting a whole 512x512 grid at once left the
-    # process about 1 MB larger after every call
-    parts = [",".join(header) + "\n"]
-    for i in range(0, table.shape[0], 1024):
-        block = table[i:i + 1024]
-        parts.append((row * block.shape[0]) % tuple(block.ravel().tolist()))
-    return "".join(parts)
+    yield ",".join(header) + "\n"
+    for block in row_blocks(table):
+        yield (row * len(block)) % tuple(block.ravel().tolist())
 
 
 def _load_config(args):
@@ -199,7 +195,7 @@ def cmd_evaluate(args):
         fc, ds.targets, features, m_samples=args.energy_samples, seed=seed,
         with_energy=not args.no_energy,
     )
-    _emit(args, args.out, report.to_json() + "\n", f"report written to {args.out}")
+    _emit(args, args.out, [report.to_json() + "\n"], f"report written to {args.out}")
     if not args.quiet:
         print(report.format_table())
     if args.pit_out:
@@ -236,21 +232,18 @@ def cmd_density(args):
             f"{len(free)} free dimensions; fix all but at most 3 with --fix DIM=VALUE"
         )
     # cell centers, so sum(pdf) * cell volume is a honest Riemann estimate
-    axes = []
-    for d in free:
-        b = model.bounds[d]
-        width = b.width / args.grid
-        axes.append(b.lower + width * (np.arange(args.grid) + 0.5))
-    mesh = np.meshgrid(*axes, indexing="ij")
-    n_rows = mesh[0].size
-    points = np.empty((n_rows, model.dim))
+    centers = np.arange(args.grid) + 0.5
+    mesh = np.meshgrid(*[model.bounds[d].lower + model.bounds[d].width / args.grid * centers
+                         for d in free], indexing="ij")
+    points = np.empty((mesh[0].size, model.dim))
     for d, v in fixed.items():
         points[:, d] = v
     for ax, d in enumerate(free):
         points[:, d] = mesh[ax].reshape(-1)
-    table = np.column_stack([points, joint_pdf(model, points)])
-    _emit(args, args.out, _csv([f"y{d+1}" for d in range(model.dim)] + ["pdf"], table),
-          f"{n_rows} grid densities written to {args.out}")
+    dens = np.concatenate([joint_pdf(model, block) for block in row_blocks(points)])
+    _emit(args, args.out, _csv([f"y{d+1}" for d in range(model.dim)] + ["pdf"],
+                               np.column_stack([points, dens])),
+          f"{len(points)} grid densities written to {args.out}")
     return 0
 
 
@@ -304,7 +297,7 @@ def cmd_diagnose_miso(args):
             "negative mixed partial found: a single multi-input monotone network "
             "of this activation cannot serve as a joint CDF"
         )
-    _emit(args, args.out, json.dumps(report, indent=2) + "\n", f"report written to {args.out}")
+    _emit(args, args.out, [json.dumps(report, indent=2) + "\n"], f"report written to {args.out}")
     return 0
 
 

@@ -38,6 +38,14 @@ MAX_DIM = 12  # pairs grow quadratically; desk-scale cap
 # a proper copula density accepts half the proposals, so a model that needs
 # this many rounds has a non-finite density, not bad luck
 MAX_REJECTION_ROUNDS = 50
+# rows per block where one parameter set meets many points: small arrays reuse their
+# memory and keep BLAS on one thread, so results do not depend on its thread count
+BLOCK_POINTS = 4096
+
+
+def row_blocks(a, size=BLOCK_POINTS):
+    """a's rows, size at a time."""
+    return [a[i:i + size] for i in range(0, len(a), size)]
 
 
 def n_pairs(dim):
@@ -264,7 +272,7 @@ def sample(model: JdanModel, n, seed):
     result is (n, D) from a shared model. With a sequence of seeds it is
     (len(seed), n, D): block r is drawn with seed[r] from parameter row r
     (or the shared set), exactly as a one-seed call for that row would
-    draw it, and all rows are inverted together.
+    draw it. Per-row sets invert all draws at once, a shared set a block at a time.
     """
     if n < 1:
         raise ContractError("need at least one sample")
@@ -278,7 +286,7 @@ def sample(model: JdanModel, n, seed):
     u = _accepted_uniforms(model.correlations, model.dim, n, rngs)
     if single:
         u = u[0]
-    cols = [
-        inverse_cdf(model.marginals[d], u[..., d], model.bounds[d]) for d in range(model.dim)
-    ]
-    return np.stack(cols, axis=-1)
+    blocks = [u] if model.rows is not None else row_blocks(u.reshape(-1, model.dim))
+    cols = [np.concatenate([inverse_cdf(m, block[..., d], b) for block in blocks], axis=-1)
+            for d, (m, b) in enumerate(zip(model.marginals, model.bounds))]
+    return np.stack(cols, axis=-1).reshape(u.shape)

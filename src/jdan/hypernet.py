@@ -22,7 +22,7 @@ import numpy as np
 from . import activations
 from . import autodiff as ad
 from .activations import KINDS
-from .copula import MAX_DIM, CorrelationParams, JdanModel, n_pairs
+from .copula import MAX_DIM, CorrelationParams, JdanModel, n_pairs, row_blocks
 from .errors import ConfigError, ContractError, EvaluationError
 from .marginal import Bounds, MarginalNetParams
 
@@ -264,4 +264,5 @@ class Forecaster:
             raise ContractError("features must be a vector or a (rows, features) block")
         if self.feature_scaler is not None:
             x = self.feature_scaler.transform(x)
-        return materialize(nfn_forward(self.net, x), self.arch)
+        blocks = [x] if x.ndim == 1 else row_blocks(x, 128)  # keeps BLAS on one thread
+        return materialize(np.concatenate([nfn_forward(self.net, b) for b in blocks]), self.arch)

@@ -3,6 +3,8 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -13,7 +15,9 @@ from jdan.data import load_csv
 from jdan.metrics import pit_values
 from jdan.model_io import load_model, load_spec_from_doc
 
-RUNS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "runs")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+RUNS = os.path.join(ROOT, "runs")
+SRC = os.path.join(ROOT, "src")
 
 # training fixtures here are deliberately tiny; the batch-count advisory is noise
 pytestmark = pytest.mark.filterwarnings("ignore:only .* samples:UserWarning")
@@ -191,9 +195,10 @@ def test_csv_outputs_match_per_cell_rendering(trained, tmp_path, capsys):
     model = fc.model_for(None)
 
     out = tmp_path / "draws.csv"
-    argv = ["sample", "--model", trained["model"], "-n", "300", "--seed", "5", "--quiet"]
+    # 9000 draws span three blocks of rendered text
+    argv = ["sample", "--model", trained["model"], "-n", "9000", "--seed", "5", "--quiet"]
     assert main(argv + ["--out", str(out)]) == 0
-    want = per_cell_csv(["y1", "y2"], sample(model, 300, 5))
+    want = per_cell_csv(["y1", "y2"], sample(model, 9000, 5))
     assert out.read_text() == want
     capsys.readouterr()
     assert main(argv) == 0
@@ -217,6 +222,22 @@ def test_csv_outputs_match_per_cell_rendering(trained, tmp_path, capsys):
                  "--out", str(tmp_path / "report.json")]) == 0
     targets = load_csv(str(test_csv), load_spec_from_doc(doc)).targets
     assert pit_path.read_text() == per_cell_csv(["u1", "u2"], pit_values(fc, targets))
+
+
+def test_grid_and_draw_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # on this grid a single joint_pdf call over all 66049 points gives one
+    # density a different last digit when OpenBLAS splits the work over threads
+    model = os.path.join(RUNS, "conditional_d2_model.json")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([SRC] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    for argv in (["density", "--model", model, "--features", "0.3", "--grid", "257"],
+                 ["sample", "--model", model, "--features", "0.3", "-n", "20000", "--seed", "4"]):
+        default = tmp_path / "default.csv"
+        assert main(argv + ["--quiet", "--out", str(default)]) == 0
+        one = tmp_path / "one_thread.csv"
+        subprocess.run([sys.executable, "-m", "jdan"] + argv + ["--quiet", "--out", str(one)],
+                       env=env, check=True)
+        assert one.read_bytes() == default.read_bytes(), argv[0]
 
 
 def test_sample_requires_seed(trained, tmp_path):
