@@ -209,12 +209,14 @@ def _parse_fixes(fix_args, dim):
     for item in fix_args or []:
         try:
             name, value = item.split("=", 1)
-            d = int(name)
-            fixed[d - 1] = float(value)
+            d, v = int(name), float(value)
         except ValueError:
             raise ConfigError(f"--fix expects DIM=VALUE with 1-based DIM, got {item!r}") from None
         if not 1 <= d <= dim:
             raise ConfigError(f"--fix dimension {d} out of range 1..{dim}")
+        if not np.isfinite(v):
+            raise ConfigError(f"--fix value must be finite, got {item!r}")
+        fixed[d - 1] = v
     return fixed
 
 
@@ -261,6 +263,9 @@ def cmd_sample(args):
 
 
 def cmd_diagnose_miso(args):
+    for flag, least in (("dim", 2), ("hidden", 1), ("trials", 1)):  # else nothing is searched
+        if getattr(args, flag) < least:
+            raise ConfigError(f"--{flag} must be >= {least}, got {getattr(args, flag)}")
     witness = find_negative_witness(
         seed=args.seed if args.seed is not None else 0,
         max_trials=args.trials,

@@ -26,7 +26,7 @@ class DegenerateMarginalError(JdanError):
 
 
 class InversionError(JdanError):
-    """Quantile bisection failed to converge; carries the final bracket."""
+    """Quantile inversion failed to converge; carries the final bracket."""
 
     def __init__(self, message, bracket=None):
         super().__init__(message)

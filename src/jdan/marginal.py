@@ -127,6 +127,18 @@ def _as_column(params, y):
     return y.reshape(params.rows, -1, 1), y.shape
 
 
+def _affine(a, w, b=None):
+    """``ad.affine``, but plain shared weights sum their inputs in order, so a point's
+    value does not depend on the other points in the call as BLAS's order does."""
+    if isinstance(w, ad.Tensor) or w.ndim == 3:
+        return ad.affine(a, w, b)
+    at = a.T
+    out = w[:, :1] * at[0]
+    for j in range(1, w.shape[1]):
+        out += w[:, j:j + 1] * at[j]
+    return out.T if b is None else out.T + b
+
+
 def _psi(params, weights, a, deriv):
     """psi at column points a and, with deriv, d psi / dy there (else None).
 
@@ -136,9 +148,9 @@ def _psi(params, weights, a, deriv):
     d = np.ones(a.shape) if deriv else None
     last = len(weights) - 1
     for k, (w, b) in enumerate(zip(weights, params.biases)):
-        pre = ad.affine(a, w, b)
+        pre = _affine(a, w, b)
         if deriv:
-            d = ad.affine(d, w)
+            d = _affine(d, w)
         if k < last:
             a = activations.apply(params.activation, pre)
             if deriv:
@@ -148,6 +160,20 @@ def _psi(params, weights, a, deriv):
         if not np.all(np.isfinite(ad.value(a))):
             raise EvaluationError(f"non-finite activation in marginal layer {k}", layer=k)
     return a, d
+
+
+def _ends(params, weights, b: Bounds):
+    """psi(L) and the span psi(U) - psi(L); a span below DENOM_EPS raises."""
+    ends, _ = _psi(params, weights, np.array([[b.lower], [b.upper]]), False)
+    lower = ends[..., :1, :]
+    span = ends[..., 1:, :] - lower
+    if np.any(ad.value(span) < DENOM_EPS):
+        raise DegenerateMarginalError(
+            f"marginal is flat over [{b.lower}, {b.upper}] "
+            f"(span {float(np.min(ad.value(span))):.3e}); "
+            "the model cannot represent a distribution on these bounds"
+        )
+    return lower, span
 
 
 def forward(params: MarginalNetParams, y):
@@ -173,28 +199,23 @@ def normalize(params: MarginalNetParams, y, b: Bounds, pdf=True):
     """
     a, shape = _as_column(params, y)
     weights = params.effective_weights()
-    ends, _ = _psi(params, weights, np.array([[b.lower], [b.upper]]), False)
-    lower = ends[..., :1, :]
-    span = ends[..., 1:, :] - lower
-    if np.any(ad.value(span) < DENOM_EPS):
-        raise DegenerateMarginalError(
-            f"marginal is flat over [{b.lower}, {b.upper}] "
-            f"(span {float(np.min(ad.value(span))):.3e}); "
-            "the model cannot represent a distribution on these bounds"
-        )
+    lower, span = _ends(params, weights, b)
     psi, dpsi = _psi(params, weights, a, pdf)
     cdf = ((psi - lower) / span).reshape(shape)
     return cdf, ((dpsi / span).reshape(shape) if pdf else None)
 
 
+def _pinned(cdf, y, b: Bounds):
+    """cdf clipped to [0, 1], and exactly 0 at y <= L and 1 at y >= U."""
+    # per-row BLAS paths can differ from a one-point call by an ulp, so pin the
+    # endpoints explicitly and clip the drift instead of trusting x - x == 0
+    return np.where(y <= b.lower, 0.0, np.where(y >= b.upper, 1.0, np.clip(cdf, 0.0, 1.0)))
+
+
 def normalized_cdf(params: MarginalNetParams, y, b: Bounds):
     """CDF on [L, U]: exactly 0 at L, exactly 1 at U; inputs outside are clamped."""
     y = np.asarray(y, dtype=np.float64)
-    raw, _ = normalize(params, np.clip(y, b.lower, b.upper), b, pdf=False)
-    # batched BLAS paths can differ from the scalar path by an ulp, so pin the
-    # endpoints explicitly and clip the drift instead of trusting x - x == 0
-    out = np.clip(raw, 0.0, 1.0)
-    out = np.where(y <= b.lower, 0.0, np.where(y >= b.upper, 1.0, out))
+    out = _pinned(normalize(params, np.clip(y, b.lower, b.upper), b, pdf=False)[0], y, b)
     return float(out) if out.ndim == 0 else out
 
 
@@ -207,35 +228,49 @@ def normalized_pdf(params: MarginalNetParams, y, b: Bounds):
 
 
 def inverse_cdf(params: MarginalNetParams, p, b: Bounds):
-    """Quantile function by bisection on [L, U].
+    """Quantile function on [L, U] by safeguarded Newton (``rtsafe``).
 
-    Accepts scalars or arrays of probabilities in [0, 1]; p = 0 and p = 1
-    return the exact bounds. Bisection stops once |F(y) - p| <= 1e-10
-    everywhere, and reports the offending bracket if 200 iterations are
-    not enough.
+    Takes probabilities in [0, 1] shaped like ``normalized_cdf``'s points;
+    p = 0 and p = 1 give the exact bounds. Each step gets F and f from one
+    pass; a point bisects its bracket when the Newton point is not finite,
+    leaves the bracket or fails to halve the step before last. Stops once
+    |F(y) - p| <= 1e-10 everywhere, F as ``normalized_cdf`` gives it, and
+    reports the offending bracket if 200 steps are not enough.
     """
-    p_arr = np.atleast_1d(np.asarray(p, dtype=np.float64))
+    p_arr = np.asarray(p, dtype=np.float64)
     if np.any((p_arr < 0.0) | (p_arr > 1.0)) or not np.all(np.isfinite(p_arr)):
         raise ContractError("probabilities must lie in [0, 1]")
-    lo = np.full_like(p_arr, b.lower)
-    hi = np.full_like(p_arr, b.upper)
-    out = np.where(p_arr <= 0.0, b.lower, np.where(p_arr >= 1.0, b.upper, np.nan))
-    active = np.isnan(out)
+    q, shape = _as_column(params, p_arr)
+    weights = params.effective_weights()
+    lower, span = _ends(params, weights, b)
+    x = y = np.where(q >= 1.0, b.upper, b.lower + q * b.width)
+    live = (q > 0.0) & (q < 1.0)
+    lo, hi = np.full(q.shape, b.lower), np.full(q.shape, b.upper)
+    step, old = hi - lo, hi - lo  # |last step| and |step before last|
+    idx = np.arange(len(q))  # leading entries (per-row: parameter rows) still searching
     for _ in range(INVERT_MAX_ITERS):
-        if not np.any(active):
+        keep = live.reshape(len(idx), -1).any(axis=1)
+        if not keep.all():  # settle the finished entries and stop evaluating them
+            y[idx[~keep]] = x[~keep]
+            idx, x, q, live, lo, hi, step, old = (
+                v[keep] for v in (idx, x, q, live, lo, hi, step, old))
+        if not idx.size:
             break
-        mid = 0.5 * (lo + hi)
-        c = np.atleast_1d(normalized_cdf(params, mid, b))
-        hit = active & (np.abs(c - p_arr) <= INVERT_TOL)
-        out[hit] = mid[hit]
-        active = active & ~hit
-        go_left = c > p_arr
-        hi = np.where(active & go_left, mid, hi)
-        lo = np.where(active & ~go_left, mid, lo)
-    if np.any(active):
-        i = int(np.argmax(active))
-        raise InversionError(
-            f"quantile bisection did not converge for p={p_arr[i]:.6g}",
-            bracket=(float(lo[i]), float(hi[i])),
-        )
-    return float(out[0]) if np.ndim(p) == 0 else out.reshape(np.shape(p))
+        own = idx if params.rows is not None else slice(None)
+        psi, dpsi = _psi(params.take(idx), [w[own] for w in weights], x, True)
+        res = _pinned((psi - lower[own]) / span[own], x, b) - q
+        live &= np.abs(res) > INVERT_TOL
+        lo, hi = np.where(res > 0.0, lo, x), np.where(res > 0.0, x, hi)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            dx = res * span[own] / dpsi  # (F - p) / f; a NaN or infinite dx fails `ok`
+            newton = x - dx
+        half = 0.5 * (hi - lo)
+        ok = (newton > lo) & (newton < hi) & (2.0 * np.abs(dx) <= old)
+        x = np.where(live, np.where(ok, newton, lo + half), x)
+        old, step = step, np.where(ok, np.abs(dx), half)
+    if np.any(live):
+        raise InversionError(f"quantile inversion did not converge for p={q[live][0]:.6g}",
+                             bracket=(float(lo[live][0]), float(hi[live][0])))
+    y[idx] = x
+    out = y.reshape(shape)
+    return float(out) if out.ndim == 0 else out

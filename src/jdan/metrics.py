@@ -64,14 +64,15 @@ class MetricsReport:
         return "\n".join(lines)
 
 
-def _model_for_rows(fc: Forecaster, features, n):
-    """One model for n rows: per-row parameters if conditional, else the shared set."""
+def _model_for_rows(fc: Forecaster, targets, features):
+    """(model, target rows): per-row parameters if conditional, else the shared set."""
+    targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
     if fc.conditional and features is None:
         raise ContractError("conditional forecaster needs features")
     model = fc.model_for(np.atleast_2d(features) if fc.conditional else None)
-    if model.rows not in (None, n):
-        raise ContractError(f"{model.rows} feature rows for {n} target rows")
-    return model
+    if model.rows not in (None, len(targets)):
+        raise ContractError(f"{model.rows} feature rows for {len(targets)} target rows")
+    return model, targets
 
 
 def _row_chunks(n, points_per_row):
@@ -85,21 +86,20 @@ def log_score(fc: Forecaster, targets, features=None):
 
     Equals -nll_loss on the same rows when none are excluded.
     """
-    targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
-    bounds = fc.arch.bounds
-    keep = in_bounds_mask(targets, bounds)
-    n_excluded = int((~keep).sum())
-    targets = targets[keep]
-    feats = None if features is None else np.atleast_2d(features)[keep]
-    n = targets.shape[0]
+    return _log_score(*_model_for_rows(fc, targets, features))
+
+
+def _log_score(model, targets):
+    keep = in_bounds_mask(targets, model.bounds)
+    n = int(keep.sum())
     if n == 0:
         raise ContractError("no in-bounds rows to score")
-    model = _model_for_rows(fc, feats, n)
+    model, targets = model.take(keep), targets[keep]
     dens = np.empty(n)
     for rows in _row_chunks(n, 1):
         dens[rows] = joint_pdf(model.take(rows), targets[rows])
     value = float(np.mean(np.log(dens + LOG_EPS)))
-    return value, n, n_excluded
+    return value, n, keep.size - n
 
 
 def crps_marginal(fc: Forecaster, targets, dim, features=None):
@@ -110,10 +110,13 @@ def crps_marginal(fc: Forecaster, targets, dim, features=None):
     across the kink would waste its accuracy. Both halves of every row in a
     chunk are evaluated in one call.
     """
-    targets = clamp_to_bounds(np.atleast_2d(targets), fc.arch.bounds)
-    b = fc.arch.bounds[dim]
+    return _crps_marginal(*_model_for_rows(fc, targets, features), dim)
+
+
+def _crps_marginal(model, targets, dim):
+    b = model.bounds[dim]
+    targets = clamp_to_bounds(targets, model.bounds)
     n = targets.shape[0]
-    model = _model_for_rows(fc, features, n)
     half = CRPS_INTERVALS // 2
     weights = np.ones(half + 1)
     weights[1:-1:2] = 4.0
@@ -133,14 +136,17 @@ def crps_marginal(fc: Forecaster, targets, dim, features=None):
 
 def pit_values(fc: Forecaster, targets, features=None):
     """Matrix of per-dimension PIT values: u[i, d] = CDF_d(y[i, d])."""
-    targets = clamp_to_bounds(np.atleast_2d(targets), fc.arch.bounds)
+    return _pit_values(*_model_for_rows(fc, targets, features))
+
+
+def _pit_values(model, targets):
+    targets = clamp_to_bounds(targets, model.bounds)
     n, dimension = targets.shape
-    model = _model_for_rows(fc, features, n)
     out = np.empty((n, dimension))
     for rows in _row_chunks(n, 1):
         part = model.take(rows)
         for d in range(dimension):
-            out[rows, d] = normalized_cdf(part.marginals[d], targets[rows, d], fc.arch.bounds[d])
+            out[rows, d] = normalized_cdf(part.marginals[d], targets[rows, d], model.bounds[d])
     return out
 
 
@@ -159,11 +165,13 @@ def energy_score(fc: Forecaster, targets, features=None, m_samples=200, seed=0):
     forecast samples drawn from that row's model under a per-row child
     seed, so the result is deterministic in (seed, row order).
     """
+    return _energy_score(*_model_for_rows(fc, targets, features), m_samples, seed)
+
+
+def _energy_score(model, targets, m_samples, seed):
     if m_samples < 2:
         raise ContractError("energy score needs m_samples >= 2")
-    targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
     n = targets.shape[0]
-    model = _model_for_rows(fc, features, n)
     row_seeds = np.random.SeedSequence(seed).spawn(n)
     out = np.empty(n)
     for rows in _row_chunks(n, m_samples):
@@ -181,20 +189,16 @@ def energy_score(fc: Forecaster, targets, features=None, m_samples=200, seed=0):
 def evaluate_forecaster(
     fc: Forecaster, targets, features=None, m_samples=200, seed=0, with_energy=True
 ):
-    """Full metric battery as a MetricsReport."""
-    targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
-    ls, n_eval, n_excl = log_score(fc, targets, features)
-    crps = [crps_marginal(fc, targets, d, features) for d in range(fc.arch.dim)]
+    """Full metric battery as a MetricsReport, every metric on one model for the rows."""
+    model, targets = _model_for_rows(fc, targets, features)
+    ls, n_eval, n_excl = _log_score(model, targets)
+    crps = [_crps_marginal(model, targets, d) for d in range(fc.arch.dim)]
     if targets.shape[0] >= 20:
-        pit = pit_values(fc, targets, features)
+        pit = _pit_values(model, targets)
         ks = [ks_statistic(pit[:, d]) for d in range(fc.arch.dim)]
     else:
         ks = [None] * fc.arch.dim  # PIT needs n >= 20
-    es = (
-        energy_score(fc, targets, features, m_samples=m_samples, seed=seed)
-        if with_energy
-        else None
-    )
+    es = _energy_score(model, targets, m_samples, seed) if with_energy else None
     return MetricsReport(
         log_score=ls,
         crps=crps,

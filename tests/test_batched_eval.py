@@ -176,6 +176,23 @@ def test_energy_score_matches_per_row_sampler(monkeypatch, conditional, chunk_po
     np.testing.assert_allclose(got, want, rtol=1e-9)
 
 
+def test_evaluate_builds_one_model_for_every_metric(monkeypatch):
+    fc = make_forecaster(True, 2, "sigmoid", seed=2)
+    targets, features = make_rows(fc, 24, seed=3, outside=0.3)  # some leave the bounds
+    calls = []
+    model_for = Forecaster.model_for
+    monkeypatch.setattr(Forecaster, "model_for",
+                        lambda self, x=None: calls.append(x) or model_for(self, x))
+    report = metrics.evaluate_forecaster(fc, targets, features, m_samples=10, seed=4)
+    assert len(calls) == 1 and calls[0].shape == features.shape
+    monkeypatch.undo()
+    value, n_eval, n_excl = metrics.log_score(fc, targets, features)
+    assert (report.n_evaluated, report.n_excluded) == (n_eval, n_excl) and n_excl > 0
+    assert report.log_score == pytest.approx(value, rel=1e-12)
+    assert report.crps == [metrics.crps_marginal(fc, targets, d, features) for d in range(2)]
+    assert report.energy_score == metrics.energy_score(fc, targets, features, m_samples=10, seed=4)
+
+
 def test_materialize_block_round_trip_and_rows():
     arch = unit_arch(dim=3, hidden=(3, 2))
     block = np.random.default_rng(0).normal(size=(4, arch.param_count()))

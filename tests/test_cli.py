@@ -273,6 +273,28 @@ def test_diagnose_miso_linear_none(tmp_path):
     assert rep["trials"] == 200
 
 
+@pytest.mark.parametrize("flag, value", [("--dim", "1"), ("--hidden", "0"), ("--trials", "0")])
+def test_diagnose_miso_rejects_searches_that_cannot_find_a_witness(flag, value, tmp_path, capsys):
+    # one input has no mixed partial and zero trials or hidden units search nothing,
+    # so "no witness" would be a conclusion drawn from no evidence
+    out = tmp_path / "miso.json"
+    argv = ["diagnose-miso", "--activation", "sigmoid", "--trials", "3", flag, value,
+            "--out", str(out), "--quiet"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: {flag} must be >=")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_density_fix_rejects_non_finite_values(value, tmp_path, capsys):
+    out = tmp_path / "grid.csv"
+    argv = ["density", "--model", os.path.join(RUNS, "uniform_d2_model.json"), "--grid", "4",
+            "--fix", f"1={value}", "--out", str(out), "--quiet"]
+    assert main(argv) == 2  # a usage error, not a numerical failure (exit 3)
+    assert capsys.readouterr().err.startswith("error: --fix value must be finite")
+    assert not out.exists()
+
+
 def test_exit_code_2_on_user_errors(trained, tmp_path):
     # missing config file
     assert main(["train", "--config", str(tmp_path / "nope.json")]) == 2

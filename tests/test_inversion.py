@@ -1,0 +1,114 @@
+"""Quantile inversion against a bisection oracle, and the invariance it relies on.
+
+``inverse_cdf`` solves F(y) = p by safeguarded Newton. The oracle below is
+plain bisection on [L, U] through ``normalized_cdf``: slow, but each of its
+steps is obviously right. Both stop at |F(y) - p| <= INVERT_TOL, so their
+answers agree to 2 * INVERT_TOL in probability.
+
+Newton carries the last-bit noise of F into y, so a shared parameter set
+must give every point the same F whichever points share the call; the
+block-against-one-point tests check that bitwise.
+"""
+
+import numpy as np
+import pytest
+
+from jdan import marginal
+from jdan.errors import InversionError
+from jdan.hypernet import ArchitectureDescriptor, materialize
+from jdan.marginal import (
+    INVERT_MAX_ITERS,
+    INVERT_TOL,
+    inverse_cdf,
+    normalized_cdf,
+    normalized_pdf,
+)
+
+from conftest import random_model
+
+ACTIVATIONS = ["sigmoid", "tanh", "linear", "relu", "exp"]
+# raw parameter scale; stacked exp layers with N(0, 1) parameters overflow on these bounds
+SCALE = {"exp": 0.5}
+BOUNDS = [(-1.0, 2.0), (0.5, 4.0)]
+# the ends, and probabilities within 1e-12 of them
+EDGE_PROBS = np.array([0.0, 1e-300, 1e-16, 1e-13, 1e-12,
+                       1.0 - 1e-12, 1.0 - 1e-13, 1.0 - 2.0**-53, 1.0])
+
+
+def bisect_inverse_cdf(params, p, b):
+    """Quantile by bisection of [L, U]: the oracle for ``inverse_cdf``."""
+    p = np.asarray(p, dtype=np.float64)
+    lo = np.full_like(p, b.lower)
+    hi = np.full_like(p, b.upper)
+    out = np.where(p <= 0.0, b.lower, np.where(p >= 1.0, b.upper, np.nan))
+    active = np.isnan(out)
+    for _ in range(INVERT_MAX_ITERS):
+        if not active.any():
+            return out
+        mid = 0.5 * (lo + hi)
+        c = normalized_cdf(params, mid, b)
+        hit = active & (np.abs(c - p) <= INVERT_TOL)
+        out[hit] = mid[hit]
+        active &= ~hit
+        left = c > p
+        hi = np.where(active & left, mid, hi)
+        lo = np.where(active & ~left, mid, lo)
+    raise InversionError("bisection did not converge")
+
+
+def make_model(activation, hidden, rows, seed):
+    arch = ArchitectureDescriptor(dim=2, bounds=BOUNDS, marginal_hidden=[list(hidden)] * 2,
+                                  activations=[activation] * 2)
+    shape = (arch.param_count(),) if rows is None else (rows, arch.param_count())
+    raw = np.random.default_rng(seed).normal(0.0, SCALE.get(activation, 1.0), size=shape)
+    return materialize(raw, arch)
+
+
+@pytest.mark.parametrize("hidden", [(8,), (4, 4)], ids=["h8", "h4x4"])
+@pytest.mark.parametrize("rows", [None, 5], ids=["shared", "per_row"])
+@pytest.mark.parametrize("activation", ACTIVATIONS)
+def test_newton_agrees_with_bisection_oracle(activation, rows, hidden):
+    model = make_model(activation, hidden, rows, seed=len(activation) + len(hidden))
+    rng = np.random.default_rng(1)
+    p = np.concatenate([EDGE_PROBS, rng.random(40)])
+    if rows is not None:
+        p = np.stack([rng.permutation(p) for _ in range(rows)])
+    for m, b in zip(model.marginals, model.bounds):
+        got = inverse_cdf(m, p, b)
+        want = bisect_inverse_cdf(m, p, b)
+        assert got.shape == p.shape
+        assert np.all((got >= b.lower) & (got <= b.upper))
+        np.testing.assert_array_equal(got[p == 0.0], b.lower)
+        np.testing.assert_array_equal(got[p == 1.0], b.upper)
+        back = normalized_cdf(m, got, b)
+        assert np.max(np.abs(back - p)) <= INVERT_TOL
+        assert np.max(np.abs(back - normalized_cdf(m, want, b))) <= 2.0 * INVERT_TOL
+
+
+def test_newton_needs_few_passes(monkeypatch):
+    # bisection spends ~33 CDF evaluations per call; Newton a handful of passes
+    model = make_model("sigmoid", (8,), None, seed=3)
+    passes = []
+    psi = marginal._psi
+    monkeypatch.setattr(marginal, "_psi", lambda *a: passes.append(len(a[2])) or psi(*a))
+    p = np.random.default_rng(2).random(4096)
+    for m, b in zip(model.marginals, model.bounds):
+        passes.clear()
+        inverse_cdf(m, p, b)
+        assert passes[0] == 2  # psi(L) and psi(U), once per call
+        assert len(passes) <= 8
+
+
+@pytest.mark.parametrize("hidden", [(8,), (4, 4)], ids=["h8", "h4x4"])
+@pytest.mark.parametrize("activation", ACTIVATIONS)
+def test_shared_block_is_bitwise_one_point_calls(activation, hidden):
+    rng = np.random.default_rng(5)
+    for _ in range(4):
+        model, _ = random_model(rng, dim=2, hidden=hidden, scale=SCALE.get(activation, 1.0),
+                                activation=activation, bounds=BOUNDS)
+        for m, b in zip(model.marginals, model.bounds):
+            y = rng.uniform(b.lower, b.upper, 30)
+            p = rng.random(30)
+            for f, x in ((normalized_cdf, y), (normalized_pdf, y), (inverse_cdf, p)):
+                block = f(m, x, b)
+                np.testing.assert_array_equal(block, [f(m, v, b) for v in x])
