@@ -7,6 +7,7 @@ seeds — there are no wall-clock defaults anywhere.
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -19,13 +20,17 @@ from .data import ColumnScaler, LoadSpec, fit_bounds, load_csv
 from .errors import ConfigError, ContractError, DataError, JdanError
 from .hypernet import ArchitectureDescriptor, Forecaster
 from .marginal import inverse_cdf, normalized_cdf
-from .metrics import evaluate_forecaster, pit_values
+from .metrics import evaluate_forecaster
 from .miso import find_negative_witness
+from .numerics import simpson
 from .training import TrainConfig, train
 
-_TRAIN_KEYS = {
-    "learning_rate", "batch_size", "max_epochs", "patience",
-    "grad_clip", "validation_fraction",
+# the keys each config section accepts; any other key is a usage error
+_CONFIG_KEYS = {
+    "top-level": {"seed", "data", "bounds", "architecture", "training", "out", "history_out"},
+    "data": {"path", "feature_columns", "target_columns", "lag_windows"},
+    "architecture": {"marginal_hidden", "activations", "hypernet_hidden"},
+    "training": {f.name for f in dataclasses.fields(TrainConfig)} - {"seed"},
 }
 
 
@@ -63,8 +68,8 @@ def _csv(header, table):
     table = np.asarray(table, dtype=np.float64)
     row = ",".join(["%.17g"] * table.shape[1]) + "\n"
     yield ",".join(header) + "\n"
-    for block in row_blocks(table):
-        yield (row * len(block)) % tuple(block.ravel().tolist())
+    for rows in row_blocks(len(table)):
+        yield (row * len(table[rows])) % tuple(table[rows].ravel().tolist())
 
 
 def _load_config(args):
@@ -80,6 +85,12 @@ def _load_config(args):
     return cfg, os.path.dirname(os.path.abspath(args.config))
 
 
+def _check_keys(section, name):
+    unknown = set(section) - _CONFIG_KEYS[name]
+    if unknown:
+        raise ConfigError(f"unknown {name} config key(s): {', '.join(sorted(unknown))}")
+
+
 def _require_seed(args, cfg):
     if args.seed is not None:
         return int(args.seed)
@@ -90,6 +101,7 @@ def _require_seed(args, cfg):
 
 def _arch_from_config(cfg, dim, feature_dim, bounds):
     a = cfg.get("architecture", {})
+    _check_keys(a, "architecture")
     hidden = a.get("marginal_hidden")
     if hidden is not None and hidden and not isinstance(hidden[0], list):
         hidden = [list(hidden)] * dim  # one shared spec
@@ -109,10 +121,12 @@ def _arch_from_config(cfg, dim, feature_dim, bounds):
 def cmd_train(args):
     cfg, base = _load_config(args)
     try:  # a wrongly typed config field surfaces as one of these
+        _check_keys(cfg, "top-level")
         seed = _require_seed(args, cfg)
         data_cfg = cfg.get("data")
         if not data_cfg or "path" not in data_cfg:
             raise ConfigError("config needs a data section with a path")
+        _check_keys(data_cfg, "data")
         spec = LoadSpec(
             feature_columns=data_cfg.get("feature_columns", []),
             target_columns=data_cfg.get("target_columns", []),
@@ -132,9 +146,7 @@ def cmd_train(args):
         arch = _arch_from_config(cfg, dim, feature_dim, bounds)
 
         t_cfg = dict(cfg.get("training", {}))
-        unknown = set(t_cfg) - _TRAIN_KEYS
-        if unknown:
-            raise ConfigError(f"unknown training option(s): {', '.join(sorted(unknown))}")
+        _check_keys(t_cfg, "training")
         tc = TrainConfig(seed=seed, **t_cfg)
     except (AttributeError, TypeError, ValueError) as exc:
         raise ConfigError(f"{args.config}: malformed config ({exc})") from exc
@@ -199,8 +211,7 @@ def cmd_evaluate(args):
     if not args.quiet:
         print(report.format_table())
     if args.pit_out:
-        pit = pit_values(fc, ds.targets, features)
-        _emit(args, args.pit_out, _csv([f"u{d+1}" for d in range(pit.shape[1])], pit))
+        _emit(args, args.pit_out, _csv([f"u{d+1}" for d in range(fc.arch.dim)], report.pit))
     return 0
 
 
@@ -242,7 +253,7 @@ def cmd_density(args):
         points[:, d] = v
     for ax, d in enumerate(free):
         points[:, d] = mesh[ax].reshape(-1)
-    dens = np.concatenate([joint_pdf(model, block) for block in row_blocks(points)])
+    dens = np.concatenate([joint_pdf(model, points[rows]) for rows in row_blocks(len(points))])
     _emit(args, args.out, _csv([f"y{d+1}" for d in range(model.dim)] + ["pdf"],
                                np.column_stack([points, dens])),
           f"{len(points)} grid densities written to {args.out}")
@@ -397,26 +408,13 @@ def _verify_battery(model, level, seed):
 
 def _simpson_box_integral(model, n=48):
     """Tensor-product Simpson integral of joint_pdf over the box (D <= 3)."""
-    if n % 2:
-        n += 1
-    axes, weights = [], []
-    for d in range(model.dim):
-        b = model.bounds[d]
-        t = np.linspace(b.lower, b.upper, n + 1)
-        w = np.ones(n + 1)
-        w[1:-1:2] = 4.0
-        w[2:-1:2] = 2.0
-        w *= (b.upper - b.lower) / n / 3.0
-        axes.append(t)
-        weights.append(w)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.column_stack([m.reshape(-1) for m in mesh])
-    dens = joint_pdf(model, pts).reshape(mesh[0].shape)
-    wmesh = np.meshgrid(*weights, indexing="ij")
-    wall = np.ones_like(dens)
-    for w in wmesh:
-        wall = wall * w
-    return float(np.sum(dens * wall))
+    n += n % 2
+    mesh = np.meshgrid(*[np.linspace(b.lower, b.upper, n + 1) for b in model.bounds],
+                       indexing="ij")
+    dens = joint_pdf(model, np.column_stack([m.reshape(-1) for m in mesh])).reshape(mesh[0].shape)
+    for b in reversed(model.bounds):  # integrate out the last axis each time
+        dens = simpson(dens, (b.upper - b.lower) / n)
+    return float(dens)
 
 
 def cmd_verify(args):

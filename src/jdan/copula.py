@@ -38,14 +38,15 @@ MAX_DIM = 12  # pairs grow quadratically; desk-scale cap
 # a proper copula density accepts half the proposals, so a model that needs
 # this many rounds has a non-finite density, not bad luck
 MAX_REJECTION_ROUNDS = 50
-# rows per block where one parameter set meets many points: small arrays reuse their
-# memory and keep BLAS on one thread, so results do not depend on its thread count
+# points per block wherever a batched call meets many points (read at call time): small
+# arrays reuse their memory and keep BLAS on one thread, whose count then changes no bits
 BLOCK_POINTS = 4096
 
 
-def row_blocks(a, size=BLOCK_POINTS):
-    """a's rows, size at a time."""
-    return [a[i:i + size] for i in range(0, len(a), size)]
+def row_blocks(n, points_per_row=1):
+    """Slices of n rows, each holding about BLOCK_POINTS points (at least one row)."""
+    step = max(1, BLOCK_POINTS // points_per_row)
+    return [slice(lo, lo + step) for lo in range(0, n, step)]
 
 
 def n_pairs(dim):
@@ -286,7 +287,8 @@ def sample(model: JdanModel, n, seed):
     u = _accepted_uniforms(model.correlations, model.dim, n, rngs)
     if single:
         u = u[0]
-    blocks = [u] if model.rows is not None else row_blocks(u.reshape(-1, model.dim))
+    flat = u.reshape(-1, model.dim)
+    blocks = [u] if model.rows is not None else [flat[rows] for rows in row_blocks(len(flat))]
     cols = [np.concatenate([inverse_cdf(m, block[..., d], b) for block in blocks], axis=-1)
             for d, (m, b) in enumerate(zip(model.marginals, model.bounds))]
     return np.stack(cols, axis=-1).reshape(u.shape)

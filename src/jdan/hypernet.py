@@ -22,7 +22,7 @@ import numpy as np
 from . import activations
 from . import autodiff as ad
 from .activations import KINDS
-from .copula import MAX_DIM, CorrelationParams, JdanModel, n_pairs, row_blocks
+from .copula import MAX_DIM, CorrelationParams, JdanModel, n_pairs
 from .errors import ConfigError, ContractError, EvaluationError
 from .marginal import Bounds, MarginalNetParams
 
@@ -264,5 +264,7 @@ class Forecaster:
             raise ContractError("features must be a vector or a (rows, features) block")
         if self.feature_scaler is not None:
             x = self.feature_scaler.transform(x)
-        blocks = [x] if x.ndim == 1 else row_blocks(x, 128)  # keeps BLAS on one thread
+        # a fixed 128 rows keeps BLAS on one thread; not copula.BLOCK_POINTS, because
+        # the net's BLAS products round differently with the block's row count
+        blocks = [x] if x.ndim == 1 else [x[i:i + 128] for i in range(0, len(x), 128)]
         return materialize(np.concatenate([nfn_forward(self.net, b) for b in blocks]), self.arch)

@@ -1,8 +1,9 @@
 """Probabilistic-forecast evaluation: log score, CRPS, PIT, energy score.
 
 Every metric evaluates all rows at once: a conditional forecaster yields
-one per-row parameter block for the rows' features, which is scored in
-fixed-size row chunks.
+one per-row parameter block for the rows' features, which is scored a
+block of rows at a time (``copula.row_blocks``). Every row is reduced on
+its own, so no score depends on the block size.
 
 Bounds policy: the model's support is fixed at training time. Test targets
 outside it are excluded from the log score (and counted) and clamped to
@@ -15,18 +16,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .copula import joint_pdf, sample as copula_sample
+from .copula import joint_pdf, row_blocks, sample as copula_sample
 from .data import clamp_to_bounds, in_bounds_mask
 from .errors import ContractError
 from .hypernet import Forecaster
 from .marginal import normalized_cdf
-from .numerics import ks_statistic
+from .numerics import ks_statistic, simpson
 from .training import LOG_EPS
 
 CRPS_INTERVALS = 256  # total Simpson subintervals per observation
-# Rows are scored in chunks of about this many evaluation points: one batched
-# call per chunk is fast, and the chunk bounds the working memory.
-CHUNK_POINTS = 16384
 
 
 @dataclass
@@ -37,6 +35,7 @@ class MetricsReport:
     energy_score: float
     n_evaluated: int
     n_excluded: int = 0
+    pit: np.ndarray = field(default=None, repr=False)  # (rows, D) PIT values; not in to_dict
 
     def to_dict(self):
         return {
@@ -75,12 +74,6 @@ def _model_for_rows(fc: Forecaster, targets, features):
     return model, targets
 
 
-def _row_chunks(n, points_per_row):
-    """Row slices holding about CHUNK_POINTS evaluation points each."""
-    step = max(1, CHUNK_POINTS // points_per_row)
-    return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
-
-
 def log_score(fc: Forecaster, targets, features=None):
     """(mean log density, n_evaluated, n_excluded); higher is better.
 
@@ -96,7 +89,7 @@ def _log_score(model, targets):
         raise ContractError("no in-bounds rows to score")
     model, targets = model.take(keep), targets[keep]
     dens = np.empty(n)
-    for rows in _row_chunks(n, 1):
+    for rows in row_blocks(n):
         dens[rows] = joint_pdf(model.take(rows), targets[rows])
     value = float(np.mean(np.log(dens + LOG_EPS)))
     return value, n, keep.size - n
@@ -108,7 +101,7 @@ def crps_marginal(fc: Forecaster, targets, dim, features=None):
     The integrand has a jump at the observation, so Simpson is applied
     separately below and above it (half the subintervals each); quadrature
     across the kink would waste its accuracy. Both halves of every row in a
-    chunk are evaluated in one call.
+    block are evaluated in one call.
     """
     return _crps_marginal(*_model_for_rows(fc, targets, features), dim)
 
@@ -118,18 +111,15 @@ def _crps_marginal(model, targets, dim):
     targets = clamp_to_bounds(targets, model.bounds)
     n = targets.shape[0]
     half = CRPS_INTERVALS // 2
-    weights = np.ones(half + 1)
-    weights[1:-1:2] = 4.0
-    weights[2:-1:2] = 2.0
     out = np.empty(n)
-    for rows in _row_chunks(n, 2 * (half + 1)):
+    for rows in row_blocks(n, 2 * (half + 1)):
         y = targets[rows, dim]
         below_nodes = np.linspace(b.lower, y, half + 1, axis=-1)
         above_nodes = np.linspace(y, b.upper, half + 1, axis=-1)
         nodes = np.concatenate([below_nodes, above_nodes], axis=-1)
         cdf = normalized_cdf(model.take(rows).marginals[dim], nodes, b)
-        below = (cdf[:, :half + 1] ** 2) @ weights * ((y - b.lower) / half / 3.0)
-        above = ((cdf[:, half + 1:] - 1.0) ** 2) @ weights * ((b.upper - y) / half / 3.0)
+        below = simpson(cdf[:, :half + 1] ** 2, (y - b.lower) / half)
+        above = simpson((cdf[:, half + 1:] - 1.0) ** 2, (b.upper - y) / half)
         out[rows] = below + above
     return float(np.mean(out))
 
@@ -143,7 +133,7 @@ def _pit_values(model, targets):
     targets = clamp_to_bounds(targets, model.bounds)
     n, dimension = targets.shape
     out = np.empty((n, dimension))
-    for rows in _row_chunks(n, 1):
+    for rows in row_blocks(n):
         part = model.take(rows)
         for d in range(dimension):
             out[rows, d] = normalized_cdf(part.marginals[d], targets[rows, d], model.bounds[d])
@@ -174,11 +164,11 @@ def _energy_score(model, targets, m_samples, seed):
     n = targets.shape[0]
     row_seeds = np.random.SeedSequence(seed).spawn(n)
     out = np.empty(n)
-    for rows in _row_chunks(n, m_samples):
+    for rows in row_blocks(n, m_samples):
         s = copula_sample(model.take(rows), m_samples, row_seeds[rows])
         to_obs = np.linalg.norm(s - targets[rows, None, :], axis=-1).mean(axis=-1)
         spread = np.empty_like(to_obs)
-        for pairs in _row_chunks(s.shape[0], m_samples**2):
+        for pairs in row_blocks(s.shape[0], m_samples**2):
             t = s[pairs]
             dist = np.linalg.norm(t[:, :, None, :] - t[:, None, :, :], axis=-1)
             spread[pairs] = dist.reshape(t.shape[0], -1).sum(axis=-1)
@@ -193,11 +183,11 @@ def evaluate_forecaster(
     model, targets = _model_for_rows(fc, targets, features)
     ls, n_eval, n_excl = _log_score(model, targets)
     crps = [_crps_marginal(model, targets, d) for d in range(fc.arch.dim)]
+    pit = _pit_values(model, targets)
     if targets.shape[0] >= 20:
-        pit = _pit_values(model, targets)
         ks = [ks_statistic(pit[:, d]) for d in range(fc.arch.dim)]
     else:
-        ks = [None] * fc.arch.dim  # PIT needs n >= 20
+        ks = [None] * fc.arch.dim  # the KS test needs n >= 20
     es = _energy_score(model, targets, m_samples, seed) if with_energy else None
     return MetricsReport(
         log_score=ls,
@@ -206,4 +196,5 @@ def evaluate_forecaster(
         energy_score=es,
         n_evaluated=n_eval,
         n_excluded=n_excl,
+        pit=pit,
     )

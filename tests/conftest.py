@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from jdan.copula import joint_pdf
 from jdan.hypernet import ArchitectureDescriptor, materialize
 
 
@@ -38,3 +39,23 @@ def interior_points(rng, model, n, margin=0.05):
     hi = model.box_upper()
     span = hi - lo
     return lo + span * (margin + (1 - 2 * margin) * rng.random((n, model.dim)))
+
+
+def simpson_integral(model, n):
+    """Tensor-product Simpson integral of joint_pdf over the box, from weight meshes.
+
+    Kept apart from jdan's own Simpson rule so it can serve as the oracle for it.
+    """
+    lo, hi = model.box_lower(), model.box_upper()
+    axes = [np.linspace(lo[d], hi[d], n + 1) for d in range(model.dim)]
+    grids = np.meshgrid(*axes, indexing="ij")
+    pts = np.column_stack([g.reshape(-1) for g in grids])
+    pdf = joint_pdf(model, pts).reshape([n + 1] * model.dim)
+    w = np.ones(n + 1)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    for d in range(model.dim):
+        shape = [1] * model.dim
+        shape[d] = n + 1
+        pdf = pdf * w.reshape(shape) * ((hi[d] - lo[d]) / n / 3.0)
+    return float(pdf.sum())

@@ -34,7 +34,7 @@ from jdan.miso import (
 from jdan.model_io import save_model
 from jdan.training import TrainConfig, grad_check, nll_loss, train
 
-from conftest import interior_points, random_model, unit_arch
+from conftest import interior_points, random_model, simpson_integral, unit_arch
 
 pytestmark = pytest.mark.filterwarnings("ignore:only .* samples:UserWarning")
 
@@ -131,22 +131,6 @@ def test_03_cdf_validity_battery(capfd):
     assert total == 0
 
 
-def _simpson_integral(model, n):
-    lo, hi = model.box_lower(), model.box_upper()
-    axes = [np.linspace(lo[d], hi[d], n + 1) for d in range(model.dim)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    pts = np.column_stack([g.reshape(-1) for g in grids])
-    pdf = joint_pdf(model, pts).reshape([n + 1] * model.dim)
-    w = np.ones(n + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    for d in range(model.dim):
-        shape = [1] * model.dim
-        shape[d] = n + 1
-        pdf = pdf * w.reshape(shape) * ((hi[d] - lo[d]) / n / 3.0)
-    return float(pdf.sum())
-
-
 def test_04_density_normalization(capfd):
     """Joint pdf integrates to 1: tensor Simpson (D=2,3), Monte Carlo (D=4)."""
     budget = 120.0
@@ -155,7 +139,7 @@ def test_04_density_normalization(capfd):
     totals = {}
     for dim, n in ((2, 64), (3, 48)):
         model, _ = random_model(rng, dim=dim)
-        totals[dim] = _simpson_integral(model, n)
+        totals[dim] = simpson_integral(model, n)
     model, _ = random_model(rng, dim=4)
     lo, hi = model.box_lower(), model.box_upper()
     pts = lo + (hi - lo) * np.random.default_rng(4044).random((1_000_000, 4))

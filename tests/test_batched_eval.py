@@ -13,12 +13,14 @@ import os
 import numpy as np
 import pytest
 
-from jdan import metrics
+from jdan import copula, metrics
 from jdan.cli import main
 from jdan.copula import joint_pdf, sample
+from jdan.data import load_csv
 from jdan.errors import ContractError
 from jdan.hypernet import ArchitectureDescriptor, Forecaster, flatten, initialize_net, materialize
 from jdan.marginal import normalized_cdf
+from jdan.model_io import load_model, load_spec_from_doc
 from jdan.numerics import composite_simpson
 from jdan.training import LOG_EPS
 
@@ -152,23 +154,23 @@ def test_batched_joint_pdf_matches_per_row_models(dim, activation):
     np.testing.assert_allclose(batched, per_row, rtol=RTOL)
 
 
-# CHUNK_POINTS values that put the 41 rows below in one chunk, one chunk plus
+# BLOCK_POINTS values that put the 41 rows below in one block, one block plus
 # one row (log score and PIT: 40 rows; CRPS: 40 rows of 258 nodes), and many
-# chunks (5 rows, or one row per chunk)
-@pytest.mark.parametrize("chunk_points", [16384, 40, 40 * 258, 5])
+# blocks (5 rows, or one row per block)
+@pytest.mark.parametrize("block_points", [16384, 40, 40 * 258, 5])
 @pytest.mark.parametrize("n_rows", [1, 41])
 @pytest.mark.parametrize("conditional", [True, False], ids=["conditional", "unconditional"])
-def test_chunk_boundaries(monkeypatch, conditional, n_rows, chunk_points):
-    monkeypatch.setattr(metrics, "CHUNK_POINTS", chunk_points)
+def test_chunk_boundaries(monkeypatch, conditional, n_rows, block_points):
+    monkeypatch.setattr(copula, "BLOCK_POINTS", block_points)
     fc = make_forecaster(conditional, 2, "sigmoid", seed=3)
     targets, features = make_rows(fc, n_rows, seed=4, outside=0.0 if n_rows == 1 else 0.1)
     assert_matches_reference(fc, targets, features)
 
 
-@pytest.mark.parametrize("chunk_points", [16384, 30])
+@pytest.mark.parametrize("block_points", [16384, 30])
 @pytest.mark.parametrize("conditional", [True, False], ids=["conditional", "unconditional"])
-def test_energy_score_matches_per_row_sampler(monkeypatch, conditional, chunk_points):
-    monkeypatch.setattr(metrics, "CHUNK_POINTS", chunk_points)
+def test_energy_score_matches_per_row_sampler(monkeypatch, conditional, block_points):
+    monkeypatch.setattr(copula, "BLOCK_POINTS", block_points)
     fc = make_forecaster(conditional, 2, "tanh", seed=5)
     targets, features = make_rows(fc, 9, seed=6)
     got = metrics.energy_score(fc, targets, features, m_samples=12, seed=7)
@@ -237,4 +239,24 @@ def test_evaluate_reports_are_byte_identical(tmp_path):
                      "--energy-samples", "40", "--seed", "3", "--quiet", "--out", str(out)]) == 0
         reports.append(out.read_bytes())
     assert reports[0] == reports[1]
+    assert json.loads(reports[0])["energy_score"] is not None
+
+
+@pytest.mark.parametrize("name", ["uniform_d2", "conditional_d2"])
+def test_reports_do_not_depend_on_block_size(monkeypatch, name):
+    fc, doc = load_model(os.path.join(ROOT, "runs", f"{name}_model.json"))
+    ds = load_csv(os.path.join(ROOT, "data", f"{name}.csv"), load_spec_from_doc(doc))
+    features = ds.features[:300] if fc.conditional else None
+    cdf_calls = []
+    monkeypatch.setattr(metrics, "normalized_cdf",
+                        lambda *a: cdf_calls.append(1) or normalized_cdf(*a))
+    reports, calls = [], []
+    for block_points in (16384, 4096, 1000, 5):
+        monkeypatch.setattr(copula, "BLOCK_POINTS", block_points)
+        cdf_calls.clear()
+        report = metrics.evaluate_forecaster(fc, ds.targets[:300], features, m_samples=50, seed=1)
+        reports.append(report.to_json())
+        calls.append(len(cdf_calls))
+    assert calls == sorted(calls) and calls[0] < calls[-1]  # the sweep really re-blocks
+    assert reports[1:] == reports[:1] * 3
     assert json.loads(reports[0])["energy_score"] is not None

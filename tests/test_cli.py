@@ -9,11 +9,14 @@ import sys
 import numpy as np
 import pytest
 
-from jdan.cli import main
+from jdan.cli import _simpson_box_integral, main
 from jdan.copula import joint_pdf, sample
 from jdan.data import load_csv
+from jdan.hypernet import Forecaster
 from jdan.metrics import pit_values
 from jdan.model_io import load_model, load_spec_from_doc
+
+from conftest import random_model, simpson_integral
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RUNS = os.path.join(ROOT, "runs")
@@ -41,7 +44,7 @@ def trained(tmp_path_factory):
         "seed": 1,
         "data": {"path": "train.csv", "target_columns": ["y1", "y2"]},
         "bounds": [[0.0, 1.0], [0.0, 1.0]],
-        "marginal_hidden": [6],
+        "architecture": {"marginal_hidden": [6]},
         "training": {
             "learning_rate": 0.01,
             "batch_size": 128,
@@ -123,14 +126,19 @@ def test_evaluate_writes_report(trained, tmp_path, capsys):
     assert "log score" in table
 
 
-def test_evaluate_pit_out(trained, tmp_path):
+def test_evaluate_pit_out(trained, tmp_path, monkeypatch):
     test_csv = write_uniform_csv(tmp_path / "test.csv", n=60, seed=3)
     pit_path = tmp_path / "pit.csv"
+    calls = []
+    model_for = Forecaster.model_for
+    monkeypatch.setattr(Forecaster, "model_for",
+                        lambda self, x=None: calls.append(x) or model_for(self, x))
     rc = main([
         "evaluate", "--model", trained["model"], "--data", str(test_csv),
         "--no-energy", "--seed", "0", "--pit-out", str(pit_path), "--quiet",
     ])
     assert rc == 0
+    assert len(calls) == 1  # the report's PIT matrix is the one written
     with open(pit_path) as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["u1", "u2"]
@@ -369,6 +377,42 @@ def test_malformed_input_exits_2(case, trained, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("section, key", [
+    (None, "sead"),
+    ("data", "target_column"),
+    ("architecture", "marginal_hiden"),
+    ("training", "momentum"),
+])
+def test_misspelled_config_keys_exit_2(section, key, trained, tmp_path, capsys):
+    cfg = {"seed": 0, "out": "m.json",
+           "data": {"path": str(trained["data"]), "target_columns": ["y1", "y2"]},
+           "architecture": {"activations": "tanh"}, "training": {"max_epochs": 1}}
+    (cfg if section is None else cfg[section])[key] = 1
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["train", "--config", str(path), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
+    assert not (tmp_path / "m.json").exists()
+
+
+@pytest.mark.parametrize("dim, n", [(2, 64), (3, 48)])
+def test_box_integral_matches_oracle(dim, n):
+    model, _ = random_model(np.random.default_rng(dim), dim=dim)
+    assert abs(_simpson_box_integral(model, n) - simpson_integral(model, n)) <= 1e-12
+
+
+@pytest.mark.parametrize("name, features", [("uniform_d2", []),
+                                            ("conditional_d2", ["--features", "0.3"])])
+def test_verify_full_passes_on_bundled_models(name, features, capsys):
+    model = os.path.join(RUNS, f"{name}_model.json")
+    assert main(["verify", "--model", model, "--level", "full"] + features) == 0
+    out = capsys.readouterr().out
+    assert out.count("pass  ") == 10 and "FAIL" not in out
+    assert "density integrates to 1 (simpson)" in out
+    assert out.endswith("verify: all 10 checks passed\n")
+
+
 def test_density_too_many_free_dims(tmp_path):
     # 4-D model with nothing fixed: refuse to emit a 4-D grid
     rng = np.random.default_rng(0)
@@ -384,7 +428,7 @@ def test_density_too_many_free_dims(tmp_path):
         "seed": 0,
         "data": {"path": "d4.csv", "target_columns": ["y1", "y2", "y3", "y4"]},
         "bounds": [[0.0, 1.0]] * 4,
-        "marginal_hidden": [4],
+        "architecture": {"marginal_hidden": [4]},
         "training": {"max_epochs": 1, "batch_size": 128},
         "out": "m4.json",
     }))
@@ -417,8 +461,7 @@ def test_conditional_round_trip(tmp_path):
             "target_columns": ["y1", "y2"],
         },
         "bounds": [[0.0, 1.0], [0.0, 1.0]],
-        "marginal_hidden": [4],
-        "hypernet_hidden": [8],
+        "architecture": {"marginal_hidden": [4], "hypernet_hidden": [8]},
         "training": {"max_epochs": 3, "batch_size": 128},
         "out": "cond.json",
     }))

@@ -140,6 +140,20 @@ def test_pdf_integrates_to_one(activation):
         assert total == pytest.approx(1.0, abs=1e-4)
 
 
+def test_composite_simpson_keeps_its_values():
+    # the values composite_simpson gave before it wrapped numerics.simpson, at the
+    # call site of test_pdf_integrates_to_one
+    rng = np.random.default_rng(8)
+    for activation in ("sigmoid", "tanh"):
+        for _ in range(20):
+            net = random_net(rng, activation=activation)
+            y = normalized_pdf(net, np.linspace(0.0, 1.0, 513), UNIT)
+            odd, even = y[1:-1:2].sum(), y[2:-1:2].sum()
+            before = 1.0 / 512 / 3.0 * (y[0] + y[-1] + 4.0 * odd + 2.0 * even)
+            got = composite_simpson(lambda t: normalized_pdf(net, t, UNIT), 0.0, 1.0, 512)
+            assert abs(got - before) <= 1e-15
+
+
 def test_pdf_matches_fd_of_cdf():
     rng = np.random.default_rng(9)
     for _ in range(30):
