@@ -6,6 +6,11 @@ Kinds:
   correlated   D=2 draws from a fixed generator model with correlation C
   conditional  D=2 draws whose correlation is driven by a feature x1:
                C(x1) = strength * x1 with x1 ~ U(-1, 1)
+
+The correlated and conditional kinds draw through ``jdan.sample``. The bundled
+``data/conditional_d2.csv`` (``--kind conditional --seed 2``) was drawn when
+``sample`` was a rejection sampler, so that seed now gives different y1, y2
+rows than the file; the bundled models were trained on the committed file.
 """
 
 import argparse

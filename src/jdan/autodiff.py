@@ -177,13 +177,6 @@ def getitem(a, idx):
     return _node(av[idx], (a, bwd))
 
 
-def stack(arrays, axis=-1):
-    """np.stack along a new axis; each part gets its slice of the gradient."""
-    values = [value(x) for x in arrays]
-    return _node(np.stack(values, axis=axis),
-                 *[(x, lambda g, i=i: np.take(g, i, axis=axis)) for i, x in enumerate(arrays)])
-
-
 def sumall(a):
     av = value(a)
     return _node(np.asarray(np.sum(av)), (a, lambda g: np.broadcast_to(g, np.shape(av)).copy()))

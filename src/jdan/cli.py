@@ -91,12 +91,21 @@ def _check_keys(section, name):
         raise ConfigError(f"unknown {name} config key(s): {', '.join(sorted(unknown))}")
 
 
-def _require_seed(args, cfg):
-    if args.seed is not None:
-        return int(args.seed)
-    if "seed" in cfg:
-        return int(cfg["seed"])
-    raise ConfigError("an explicit seed is required (config \"seed\" or --seed)")
+def _seed(args, cfg=None, required=False):
+    """The run's seed: --seed, else the config's "seed", else 0 unless one is required."""
+    seed = args.seed if args.seed is not None else (cfg or {}).get("seed")
+    if seed is None:
+        if required:
+            where = "config \"seed\" or --seed" if cfg is not None else "--seed"
+            raise ConfigError(f"{args.command} requires an explicit seed ({where})")
+        return 0
+    try:
+        value = int(seed)
+    except (OverflowError, TypeError, ValueError):
+        value = -1  # rejected below, like a negative seed
+    if value < 0:
+        raise ConfigError(f"a seed must be a non-negative integer, got {seed!r}")
+    return value
 
 
 def _arch_from_config(cfg, dim, feature_dim, bounds):
@@ -122,7 +131,7 @@ def cmd_train(args):
     cfg, base = _load_config(args)
     try:  # a wrongly typed config field surfaces as one of these
         _check_keys(cfg, "top-level")
-        seed = _require_seed(args, cfg)
+        seed = _seed(args, cfg, required=True)
         data_cfg = cfg.get("data")
         if not data_cfg or "path" not in data_cfg:
             raise ConfigError("config needs a data section with a path")
@@ -202,9 +211,8 @@ def cmd_evaluate(args):
         raise ConfigError(
             f"model expects {fc.net.input_dim} features, data provides {ds.features.shape[1]}"
         )
-    seed = args.seed if args.seed is not None else 0
     report = evaluate_forecaster(
-        fc, ds.targets, features, m_samples=args.energy_samples, seed=seed,
+        fc, ds.targets, features, m_samples=args.energy_samples, seed=_seed(args),
         with_energy=not args.no_energy,
     )
     _emit(args, args.out, [report.to_json() + "\n"], f"report written to {args.out}")
@@ -262,12 +270,11 @@ def cmd_density(args):
 
 def cmd_sample(args):
     fc, _ = model_io.load_model(args.model)
-    if args.seed is None:
-        raise ConfigError("sample requires an explicit --seed")
+    seed = _seed(args, required=True)
     if args.count < 1:
         raise ConfigError("--count must be >= 1")
     model = fc.model_for(_features_arg(fc, args.features))
-    draws = model_sample(model, args.count, args.seed)
+    draws = model_sample(model, args.count, seed)
     _emit(args, args.out, _csv([f"y{d+1}" for d in range(model.dim)], draws),
           f"{args.count} samples written to {args.out}")
     return 0
@@ -277,8 +284,9 @@ def cmd_diagnose_miso(args):
     for flag, least in (("dim", 2), ("hidden", 1), ("trials", 1)):  # else nothing is searched
         if getattr(args, flag) < least:
             raise ConfigError(f"--{flag} must be >= {least}, got {getattr(args, flag)}")
+    seed = _seed(args)
     witness = find_negative_witness(
-        seed=args.seed if args.seed is not None else 0,
+        seed=seed,
         max_trials=args.trials,
         activation=args.activation,
         dim=args.dim,
@@ -289,7 +297,7 @@ def cmd_diagnose_miso(args):
         "dim": args.dim,
         "hidden": args.hidden,
         "trials": args.trials,
-        "seed": args.seed if args.seed is not None else 0,
+        "seed": seed,
         "witness_found": witness is not None,
     }
     if witness is None:
@@ -420,8 +428,7 @@ def _simpson_box_integral(model, n=48):
 def cmd_verify(args):
     fc, _ = model_io.load_model(args.model)
     model = fc.model_for(_features_arg(fc, args.features))
-    seed = args.seed if args.seed is not None else 0
-    checks = _verify_battery(model, args.level, seed)
+    checks = _verify_battery(model, args.level, _seed(args))
     failures = 0
     for name, ok, detail in checks:
         failures += 0 if ok else 1

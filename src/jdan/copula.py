@@ -35,9 +35,6 @@ from .errors import BracketError, ContractError, EvaluationError
 from .marginal import inverse_cdf, normalize, normalized_cdf
 
 MAX_DIM = 12  # pairs grow quadratically; desk-scale cap
-# a proper copula density accepts half the proposals, so a model that needs
-# this many rounds has a non-finite density, not bad luck
-MAX_REJECTION_ROUNDS = 50
 # points per block wherever a batched call meets many points (read at call time): small
 # arrays reuse their memory and keep BLAS on one thread, whose count then changes no bits
 BLOCK_POINTS = 4096
@@ -148,17 +145,17 @@ def marginal_cdf_values(model: JdanModel, y):
     return u[0] if scalar else u
 
 
-def _pair_mean(corr: CorrelationParams, v):
-    """Mean over pairs (d, i) of C_di * v_d * v_i, one value per point of v (n, D)."""
-    pairs = pair_indices(v.shape[1])
+def _pair_mean(corr: CorrelationParams, cols):
+    """Mean over pairs (d, i) of C_di * v_d * v_i, one value per point; cols are the D columns v_d."""
+    pairs = pair_indices(len(cols))
     if corr.raw.shape[-1] != len(pairs):
         raise ContractError("correlation size does not match point dimension")
-    if corr.rows is not None and corr.rows != v.shape[0]:
+    if corr.rows is not None and corr.rows != cols[0].shape[0]:
         raise ContractError(f"{corr.rows} correlation rows need {corr.rows} points")
     c = corr.effective()
     s = None
     for k, (d, i) in enumerate(pairs):
-        term = c[..., k] * (v[:, d] * v[:, i])
+        term = c[..., k] * (cols[d] * cols[i])
         s = term if s is None else s + term
     return s / len(pairs)
 
@@ -167,18 +164,18 @@ def copula_cdf(corr: CorrelationParams, u):
     """The combiner itself, evaluated on unit-cube coordinates."""
     u = np.asarray(u, dtype=np.float64)
     pts = np.atleast_2d(u)
-    out = pts.prod(axis=1) * (1.0 + _pair_mean(corr, 1.0 - pts))
+    out = pts.prod(axis=1) * (1.0 + _pair_mean(corr, list((1.0 - pts).T)))
     return float(out[0]) if u.ndim == 1 else out
 
 
 def copula_density(corr: CorrelationParams, u):
     """Mixed partial of the combiner over all coordinates; lies in (0, 2).
 
-    u and the correlations may be tape nodes; u is (n, D), or one point (D,).
+    u is a plain array of unit-cube points, (n, D) or one point (D,).
     """
-    u = ad.array(u)
-    pts = u.reshape((1, -1)) if u.ndim == 1 else u
-    out = 1.0 + _pair_mean(corr, 1.0 - 2.0 * pts)
+    u = np.asarray(u, dtype=np.float64)
+    pts = np.atleast_2d(u)
+    out = 1.0 + _pair_mean(corr, list((1.0 - 2.0 * pts).T))
     return float(out[0]) if u.ndim == 1 else out
 
 
@@ -198,7 +195,7 @@ def joint_pdf(model: JdanModel, y):
     box = np.clip(pts, model.box_lower(), model.box_upper())
     cdfs, pdfs = zip(*(normalize(m, box[:, d], b)
                        for d, (m, b) in enumerate(zip(model.marginals, model.bounds))))
-    dens = copula_density(model.correlations, ad.stack(cdfs, axis=-1))
+    dens = 1.0 + _pair_mean(model.correlations, [1.0 - 2.0 * f for f in cdfs])
     for pdf in pdfs:
         dens = dens * pdf
     inside = np.all(box == pts, axis=1)
@@ -227,53 +224,45 @@ def mixed_partial_fd(model: JdanModel, y, h):
     return float((weights * vals).sum() / np.prod(2.0 * steps))
 
 
-def _accepted_uniforms(corr: CorrelationParams, dim, n, rngs):
-    """(len(rngs), n, dim) unit-cube points; row r rejection-sampled with rngs[r].
+def _conditional_inverse(corr: CorrelationParams, v):
+    """Unit-cube points from uniforms v (rows, n, D), row r under correlation row r.
 
-    Row r is drawn from correlation row r of a per-row ``corr``, or from the
-    shared density. Proposals are accepted against the copula density with
-    the provable envelope constant 2 (acceptance rate one half), and every
-    row consumes its own stream exactly as a one-row call would, so a row's
-    points do not depend on which other rows are drawn with it. A density
-    that never accepts (a non-finite one) raises EvaluationError after
-    MAX_REJECTION_ROUNDS rounds.
+    Every conditional law u_k | u_<k of the copula density is linear in u_k,
+    so each coordinate inverts its conditional CDF in closed form (the
+    conditional distribution method): with t_k the mean-over-all-pairs terms
+    that pair k with an earlier coordinate and c the density of the first k-1,
+    u_k solves u (1 + b) - b u^2 = v_k for b = t_k / c, and c then takes
+    t_k (1 - 2 u_k). The map is elementwise along each row, so a row's points
+    do not depend on the rows beside it. A shared ``corr`` serves every row.
     """
-    rows = len(rngs)
-    kept = [[] for _ in range(rows)]
-    have = np.zeros(rows, dtype=int)
-    for _ in range(MAX_REJECTION_ROUNDS):
-        short = np.flatnonzero(have < n)
-        if short.size == 0:
-            return np.stack([np.concatenate(k, axis=0)[:n] for k in kept])
-        counts = np.ceil((n - have[short]) * 2.2).astype(int) + 16
-        u, coin = [], []
-        for r, m in zip(short, counts):
-            u.append(rngs[r].uniform(size=(m, dim)))
-            coin.append(rngs[r].uniform(size=m))
-        u = np.concatenate(u, axis=0)
-        c = corr
-        if corr.rows is not None:  # one correlation row per proposal
-            c = CorrelationParams(raw=np.repeat(corr.raw[short], counts, axis=0))
-        keep = np.concatenate(coin) < copula_density(c, u) / 2.0
-        cuts = np.cumsum(counts)[:-1]
-        for r, ur, kr in zip(short, np.split(u, cuts), np.split(keep, cuts)):
-            kept[r].append(ur[kr])
-            have[r] += int(kr.sum())
-    raise EvaluationError(
-        f"rejection sampling accepted too few proposals in {MAX_REJECTION_ROUNDS} rounds; "
-        "the copula density is not finite"
-    )
+    dim = v.shape[-1]
+    pairs = pair_indices(dim)
+    c = np.reshape(corr.effective(), (-1, 1, len(pairs)))  # broadcasts over each row's points
+    u, dens = v.copy(), 1.0  # u_1 = v_1, and the first coordinate's density is 1
+    for k in range(1, dim):
+        t = sum(c[..., j] * (1.0 - 2.0 * u[..., d])
+                for j, (d, i) in enumerate(pairs) if i == k) / len(pairs)
+        b, vk = t / dens, v[..., k]
+        # both terms of either form are >= 0, so the root's argument never cancels
+        root = np.sqrt(np.where(b >= 0.0, (1.0 - b) ** 2 + 4.0 * b * (1.0 - vk),
+                                (1.0 + b) ** 2 - 4.0 * b * vk))
+        u[..., k] = 2.0 * vk / (1.0 + b + root)
+        dens = dens + t * (1.0 - 2.0 * u[..., k])
+    if not np.all(np.isfinite(dens)):
+        raise EvaluationError("the copula density is not finite")
+    return u
 
 
 def sample(model: JdanModel, n, seed):
     """Draw n rows from the joint density, reproducibly for a given seed.
 
-    Unit-cube proposals are rejection-sampled against the copula density,
-    then pushed through each marginal quantile function. With one seed the
-    result is (n, D) from a shared model. With a sequence of seeds it is
-    (len(seed), n, D): block r is drawn with seed[r] from parameter row r
-    (or the shared set), exactly as a one-seed call for that row would
-    draw it. Per-row sets invert all draws at once, a shared set a block at a time.
+    Each draw inverts the copula's conditional CDFs one coordinate at a time
+    (``_conditional_inverse``), then pushes the point through each marginal
+    quantile function. With one seed the result is (n, D) from a shared model.
+    With a sequence of seeds it is (len(seed), n, D): block r is drawn with
+    seed[r] from parameter row r (or the shared set), exactly as a one-seed
+    call for that row would draw it, from n * D uniforms of that seed's stream.
+    Per-row sets invert all draws at once, a shared set a block at a time.
     """
     if n < 1:
         raise ContractError("need at least one sample")
@@ -283,8 +272,8 @@ def sample(model: JdanModel, n, seed):
         raise ContractError("a per-row model needs one seed per parameter row")
     if model.rows not in (None, len(seeds)):
         raise ContractError(f"{model.rows} parameter rows need {model.rows} seeds")
-    rngs = [np.random.default_rng(s) for s in seeds]
-    u = _accepted_uniforms(model.correlations, model.dim, n, rngs)
+    v = np.stack([np.random.default_rng(s).uniform(size=(n, model.dim)) for s in seeds])
+    u = _conditional_inverse(model.correlations, v)
     if single:
         u = u[0]
     flat = u.reshape(-1, model.dim)

@@ -51,6 +51,8 @@ class TrainConfig:
             raise ConfigError("batch_size, max_epochs and patience must be >= 1")
         if not 0.0 < self.validation_fraction < 1.0:
             raise ConfigError("validation_fraction must lie in (0, 1)")
+        if self.seed < 0:
+            raise ConfigError("seed must be a non-negative integer")
 
 
 @dataclass

@@ -116,7 +116,7 @@ def test_ops_on_plain_arrays_build_no_graph():
     outs = [
         ad.add(x, x), ad.sub(x, 1.0), ad.mul(x, x), ad.div(x, 2.0),
         ad.affine(x, w, np.ones(2)), ad.affine(x, w), ad.reshape(x, (4,)), ad.getitem(x, 0),
-        ad.stack([x[:, 0], x[:, 1]]), ad.sumall(x), ad.mean(x), ad.log(x), ad.exp(x),
+        ad.sumall(x), ad.mean(x), ad.log(x), ad.exp(x),
         ad.tanh(x), ad.sigmoid(x), ad.softplus(x), ad.relu(x), ad.step(x),
     ]
     for out in outs:

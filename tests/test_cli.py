@@ -396,6 +396,49 @@ def test_misspelled_config_keys_exit_2(section, key, trained, tmp_path, capsys):
     assert not (tmp_path / "m.json").exists()
 
 
+@pytest.mark.parametrize("command, seed", [
+    ("train", -3), ("train", float("inf")), ("evaluate", -1), ("sample", -1), ("verify", -1),
+    ("diagnose-miso", -1),
+])
+def test_negative_seed_exits_2(command, seed, trained, tmp_path, capsys):
+    out = tmp_path / "out"
+    if command == "train":
+        cfg = {"seed": seed, "out": str(out),
+               "data": {"path": str(trained["data"]), "target_columns": ["y1", "y2"]},
+               "training": {"max_epochs": 1}}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        argv = ["train", "--config", str(path)]
+    else:
+        argv = {
+            "evaluate": ["evaluate", "--model", trained["model"], "--data", str(trained["data"])],
+            "sample": ["sample", "--model", trained["model"], "-n", "5"],
+            "verify": ["verify", "--model", trained["model"]],
+            "diagnose-miso": ["diagnose-miso", "--trials", "1"],
+        }[command] + ["--seed", str(seed), "--out", str(out)]
+    assert main(argv + ["--quiet"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name, report, pit_csv", [
+    ("uniform_d2", "uniform_metrics.json", "uniform_pit.csv"),
+    ("conditional_d2", "cond_metrics.json", None),
+])
+def test_committed_reports_are_reproduced(name, report, pit_csv, tmp_path):
+    # the energy score is Monte Carlo over drawn samples; every other field is exact
+    out, pit = tmp_path / "report.json", tmp_path / "pit.csv"
+    assert main(["evaluate", "--model", os.path.join(RUNS, f"{name}_model.json"),
+                 "--data", os.path.join(ROOT, "data", f"{name}.csv"), "--no-energy",
+                 "--out", str(out), "--pit-out", str(pit), "--quiet"]) == 0
+    got = json.loads(out.read_text())
+    want = json.loads(open(os.path.join(RUNS, report)).read())
+    assert got.pop("energy_score") is None and want.pop("energy_score") > 0.0
+    assert got == want
+    if pit_csv is not None:
+        assert pit.read_bytes() == open(os.path.join(RUNS, pit_csv), "rb").read()
+
+
 @pytest.mark.parametrize("dim, n", [(2, 64), (3, 48)])
 def test_box_integral_matches_oracle(dim, n):
     model, _ = random_model(np.random.default_rng(dim), dim=dim)

@@ -227,7 +227,7 @@ def test_sample_shape_seed_determinism():
 
 
 def test_sampler_stops_on_nan_correlation():
-    # a NaN density never accepts a proposal; the rejection loop must give up
+    # a NaN correlation makes the copula density NaN; the sampler must raise, not return NaN
     model = linear_model(dim=2)
     model.correlations = CorrelationParams(raw=[np.nan])
     start = time.perf_counter()

@@ -188,6 +188,12 @@ def test_train_config_validation():
         TrainConfig(patience=-1)
 
 
+def test_train_config_rejects_negative_seed():
+    # numpy's SeedSequence takes no negative entropy
+    with pytest.raises(ConfigError):
+        TrainConfig(seed=-3)
+
+
 def test_train_is_bitwise_deterministic():
     rng = np.random.default_rng(9)
     arch = unit_arch(dim=2, hidden=(4,))
