@@ -147,7 +147,17 @@ def affine(a, w, b=None):
     w is shared, (out, in), or per row, (n, out, in), with b (out,) or
     (n, out) to match; a is (m, in) or (n, k, in), and broadcasts the numpy
     matmul way. Without b there is no bias term.
+
+    Plain shared weights over plain points a (m, in) sum the inputs in order,
+    so a row's value does not depend on the other rows in the call as a BLAS
+    product's does. Per-row weights and tape nodes take the matmul.
     """
+    if w.ndim == 2 and not isinstance(w, Tensor) and not isinstance(a, Tensor):
+        at = a.T
+        out = w[:, :1] * at[0]
+        for j in range(1, w.shape[1]):
+            out += w[:, j:j + 1] * at[j]
+        return out.T if b is None else out.T + b
     av, wv = value(a), value(w)
     out = av @ np.swapaxes(wv, -1, -2)
     edges = [(a, lambda g: _unbroadcast(g @ wv, np.shape(av))),

@@ -180,7 +180,9 @@ def cmd_train(args):
         "lag_windows": spec.lag_windows,
     }
     model_io.save_model(_with_parent(out), fc, data_spec=data_spec)
-    history = _resolve(cfg.get("history_out"), base) or os.path.splitext(out)[0] + "_history.csv"
+    # with --out the history goes beside the model, never to the config's history_out
+    history = None if args.out else _resolve(cfg.get("history_out"), base)
+    history = history or os.path.splitext(out)[0] + "_history.csv"
     epochs = np.arange(1, len(report.train_nll) + 1)
     _emit(args, history,
           _csv(["epoch", "train_nll", "val_nll"],

@@ -77,8 +77,6 @@ class Dataset:
     targets: np.ndarray        # (n, D)
     feature_names: list = field(default_factory=list)
     target_names: list = field(default_factory=list)
-    bounds: list = None
-    feature_scaler: ColumnScaler = None
     n_dropped: int = 0
 
     def __post_init__(self):
@@ -88,14 +86,6 @@ class Dataset:
             raise ContractError("features and targets must be 2-D")
         if self.features.shape[0] != self.targets.shape[0]:
             raise ContractError("features and targets disagree on n")
-        if self.bounds is not None:
-            self.bounds = [b if isinstance(b, Bounds) else Bounds(*b) for b in self.bounds]
-            if len(self.bounds) != self.targets.shape[1]:
-                raise ContractError("need one bounds pair per target dimension")
-            for d, b in enumerate(self.bounds):
-                col = self.targets[:, d]
-                if np.any(col < b.lower) or np.any(col > b.upper):
-                    raise ContractError(f"target dimension {d} has values outside bounds")
 
     @property
     def n(self):

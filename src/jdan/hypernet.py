@@ -22,7 +22,7 @@ import numpy as np
 from . import activations
 from . import autodiff as ad
 from .activations import KINDS
-from .copula import MAX_DIM, CorrelationParams, JdanModel, n_pairs
+from .copula import MAX_DIM, CorrelationParams, JdanModel, n_pairs, row_blocks
 from .errors import ConfigError, ContractError, EvaluationError
 from .marginal import Bounds, MarginalNetParams
 
@@ -253,7 +253,8 @@ class Forecaster:
     def model_for(self, x=None) -> JdanModel:
         """The model for one feature vector (F,), or a per-row model for a block (n, F).
 
-        An unconditional forecaster returns its one shared model whatever x is.
+        Row i of a block gets the bits of a one-row call for x[i]. An
+        unconditional forecaster returns its one shared model whatever x is.
         """
         if not self.conditional:
             return self._fixed
@@ -264,7 +265,5 @@ class Forecaster:
             raise ContractError("features must be a vector or a (rows, features) block")
         if self.feature_scaler is not None:
             x = self.feature_scaler.transform(x)
-        # a fixed 128 rows keeps BLAS on one thread; not copula.BLOCK_POINTS, because
-        # the net's BLAS products round differently with the block's row count
-        blocks = [x] if x.ndim == 1 else [x[i:i + 128] for i in range(0, len(x), 128)]
+        blocks = [x] if x.ndim == 1 else [x[rows] for rows in row_blocks(len(x))]
         return materialize(np.concatenate([nfn_forward(self.net, b) for b in blocks]), self.arch)

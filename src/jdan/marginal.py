@@ -127,18 +127,6 @@ def _as_column(params, y):
     return y.reshape(params.rows, -1, 1), y.shape
 
 
-def _affine(a, w, b=None):
-    """``ad.affine``, but plain shared weights sum their inputs in order, so a point's
-    value does not depend on the other points in the call as BLAS's order does."""
-    if isinstance(w, ad.Tensor) or w.ndim == 3:
-        return ad.affine(a, w, b)
-    at = a.T
-    out = w[:, :1] * at[0]
-    for j in range(1, w.shape[1]):
-        out += w[:, j:j + 1] * at[j]
-    return out.T if b is None else out.T + b
-
-
 def _psi(params, weights, a, deriv):
     """psi at column points a and, with deriv, d psi / dy there (else None).
 
@@ -148,9 +136,9 @@ def _psi(params, weights, a, deriv):
     d = np.ones(a.shape) if deriv else None
     last = len(weights) - 1
     for k, (w, b) in enumerate(zip(weights, params.biases)):
-        pre = _affine(a, w, b)
+        pre = ad.affine(a, w, b)
         if deriv:
-            d = _affine(d, w)
+            d = ad.affine(d, w)
         if k < last:
             a = activations.apply(params.activation, pre)
             if deriv:

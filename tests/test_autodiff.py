@@ -103,6 +103,22 @@ def test_affine_grads(layout):
     check_op(lambda t: ad.sumall(ad.mul(ad.affine(a, t), coeff)), w)  # no bias
 
 
+def test_affine_plain_weights_give_each_row_its_own_bits():
+    # plain (out, in) weights sum the inputs in order: a row's bits are those
+    # of a one-row call, and the tape's matmul agrees to rounding, relative to
+    # the sum of the terms' magnitudes (a sum that cancels keeps only that)
+    rng = np.random.default_rng(3)
+    a, w, b = rng.normal(size=(300, 33)), rng.normal(size=(51, 33)), rng.normal(size=51)
+    block, unbiased = ad.affine(a, w, b), ad.affine(a, w)
+    for i in range(len(a)):
+        np.testing.assert_array_equal(block[i:i + 1], ad.affine(a[i:i + 1], w, b))
+        np.testing.assert_array_equal(unbiased[i:i + 1], ad.affine(a[i:i + 1], w))
+    taped = ad.affine(a, ad.leaf(w), ad.leaf(b))
+    assert isinstance(taped, ad.Tensor)
+    scale = np.abs(a) @ np.abs(w).T + np.abs(b)
+    assert np.max(np.abs(taped.data - block) / scale) <= 1e-14
+
+
 def test_reshape_grad():
     rng = np.random.default_rng(3)
     x = rng.normal(size=(2, 5))

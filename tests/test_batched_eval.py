@@ -260,3 +260,13 @@ def test_reports_do_not_depend_on_block_size(monkeypatch, name):
     assert calls == sorted(calls) and calls[0] < calls[-1]  # the sweep really re-blocks
     assert reports[1:] == reports[:1] * 3
     assert json.loads(reports[0])["energy_score"] is not None
+
+
+def test_row_parameters_do_not_depend_on_the_block(monkeypatch):
+    # a time step's forecast is the same alone or scored beside other steps
+    fc, doc = load_model(os.path.join(ROOT, "runs", "conditional_d2_model.json"))
+    x = load_csv(os.path.join(ROOT, "data", "conditional_d2.csv"), load_spec_from_doc(doc)).features
+    alone = np.array([flatten(fc.model_for(row)) for row in x])
+    for block_points in (5, 100, 4096, 2**20):
+        monkeypatch.setattr(copula, "BLOCK_POINTS", block_points)
+        assert int(np.sum(flatten(fc.model_for(x)) != alone)) == 0, block_points

@@ -75,13 +75,16 @@ def test_train_writes_model_and_history(trained):
     assert len(lines) >= 2
 
 
-def test_documents_carry_no_optimizer_state(trained):
-    # nothing reads Adam's moments back, so saves leave them out; the
-    # committed documents still carry the old "training_state" block and load
+def test_documents_carry_no_optimizer_state(trained, tmp_path):
+    # nothing reads Adam's moments back, so saves leave them out; older
+    # documents that still carry a "training_state" block load as before
     assert "training_state" not in json.loads(open(trained["model"]).read())
     for name, features in (("uniform_d2_model.json", None), ("conditional_d2_model.json", 0.5)):
-        fc, doc = load_model(os.path.join(RUNS, name))
-        assert "training_state" in doc
+        doc = json.loads(open(os.path.join(RUNS, name)).read())
+        doc["training_state"] = {"adam_m": [0.0], "adam_v": [0.0], "adam_t": 1, "epoch": 1}
+        path = tmp_path / name
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        fc, _ = load_model(str(path))
         x = None if features is None else np.full(fc.net.input_dim, features)
         y = np.array([0.5 * (b.lower + b.upper) for b in fc.arch.bounds])
         assert np.isfinite(joint_pdf(fc.model_for(x), y))
@@ -98,6 +101,36 @@ def test_train_is_reproducible(trained, tmp_path):
     h1 = open(os.path.join(trained["root"], "run", "model_history.csv")).read()
     h2 = open(tmp_path / "again_history.csv").read()
     assert h1 == h2
+
+
+def test_train_out_moves_the_history_too(trained, tmp_path):
+    # --out writes the history beside the model, never to the config's history_out
+    config_dir, out_dir = tmp_path / "config_dir", tmp_path / "out_dir"
+    config_dir.mkdir()
+    cfg = json.loads(open(trained["config"]).read())
+    cfg.update(out=str(config_dir / "m.json"), history_out=str(config_dir / "h.csv"))
+    cfg["data"]["path"] = str(trained["data"])
+    cfg["training"]["max_epochs"] = 2
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    assert main(["train", "--config", str(path), "--out", str(out_dir / "run.json"), "--quiet"]) == 0
+    assert list(config_dir.iterdir()) == []
+    assert sorted(p.name for p in out_dir.iterdir()) == ["run.json", "run_history.csv"]
+
+
+@pytest.mark.parametrize("name", ["uniform_d2", "conditional_d2"])
+def test_committed_runs_are_reproduced(name, tmp_path):
+    # retraining a bundled config gives back its model and history byte for byte
+    out, history = tmp_path / f"{name}.json", tmp_path / f"{name}_history.csv"
+    assert main(["train", "--config", os.path.join(ROOT, "configs", f"{name}.json"),
+                 "--out", str(out), "--quiet"]) == 0
+    assert out.read_bytes() == open(os.path.join(RUNS, f"{name}_model.json"), "rb").read()
+    assert history.read_bytes() == open(os.path.join(RUNS, f"{name}_history.csv"), "rb").read()
+    if name == "uniform_d2":
+        grid = tmp_path / "grid.csv"
+        assert main(["density", "--model", str(out), "--grid", "64",
+                     "--out", str(grid), "--quiet"]) == 0
+        assert grid.read_bytes() == open(os.path.join(RUNS, "grid.csv"), "rb").read()
 
 
 def test_verify_quick_passes(trained, capsys):

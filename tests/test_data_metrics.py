@@ -154,12 +154,6 @@ def test_load_spec_validation():
 def test_dataset_validation():
     with pytest.raises(ContractError):
         Dataset(features=np.zeros((3, 1)), targets=np.zeros((4, 2)))
-    with pytest.raises(ContractError):
-        Dataset(
-            features=np.zeros((3, 0)),
-            targets=np.full((3, 1), 2.0),
-            bounds=[(0.0, 1.0)],
-        )
 
 
 # ---------------------------------------------------------------- bounds

@@ -171,9 +171,8 @@ def test_nfn_forward_batch_matches_single():
     rng = np.random.default_rng(5)
     xs = rng.normal(size=(10, 2))
     batch = nfn_forward(net, xs)
-    # batched and single-row BLAS paths agree only to rounding, not bitwise
     for i, x in enumerate(xs):
-        np.testing.assert_allclose(batch[i], nfn_forward(net, x), rtol=1e-10, atol=1e-12)
+        np.testing.assert_array_equal(batch[i], nfn_forward(net, x))
 
 
 def test_nfn_forward_feature_sensitivity():
