@@ -28,7 +28,7 @@ from .training import TrainConfig, train
 # the keys each config section accepts; any other key is a usage error
 _CONFIG_KEYS = {
     "top-level": {"seed", "data", "bounds", "architecture", "training", "out", "history_out"},
-    "data": {"path", "feature_columns", "target_columns", "lag_windows"},
+    "data": {"path"} | {f.name for f in dataclasses.fields(LoadSpec)},
     "architecture": {"marginal_hidden", "activations", "hypernet_hidden"},
     "training": {f.name for f in dataclasses.fields(TrainConfig)} - {"seed"},
 }
@@ -136,11 +136,7 @@ def cmd_train(args):
         if not data_cfg or "path" not in data_cfg:
             raise ConfigError("config needs a data section with a path")
         _check_keys(data_cfg, "data")
-        spec = LoadSpec(
-            feature_columns=data_cfg.get("feature_columns", []),
-            target_columns=data_cfg.get("target_columns", []),
-            lag_windows=data_cfg.get("lag_windows", []),
-        )
+        spec = LoadSpec(**{k: v for k, v in data_cfg.items() if k != "path"})
         ds = load_csv(_resolve(data_cfg["path"], base), spec)
         if ds.n_dropped:
             _say(args, f"dropped {ds.n_dropped} rows with missing values")
@@ -173,12 +169,7 @@ def cmd_train(args):
     fc = Forecaster(net, arch, feature_scaler=scaler)
 
     out = args.out or _resolve(cfg.get("out", "model.json"), base)
-    data_spec = {
-        "path": data_cfg["path"],
-        "feature_columns": spec.feature_columns,
-        "target_columns": spec.target_columns,
-        "lag_windows": spec.lag_windows,
-    }
+    data_spec = {"path": data_cfg["path"], **dataclasses.asdict(spec)}
     model_io.save_model(_with_parent(out), fc, data_spec=data_spec)
     # with --out the history goes beside the model, never to the config's history_out
     history = None if args.out else _resolve(cfg.get("history_out"), base)
@@ -193,15 +184,19 @@ def cmd_train(args):
     return 0
 
 
-def _features_arg(fc, text):
+def _model(args):
+    """The shared parameter set of --model, at --features when the model is conditional."""
+    fc, _ = model_io.load_model(args.model)
     if not fc.conditional:
-        return None
-    if text is None:
+        return fc.model_for()
+    if args.features is None:
         raise ConfigError("this model is conditional; pass --features v1,v2,...")
     try:
-        return np.array([float(v) for v in text.split(",")], dtype=np.float64)
+        x = np.array([float(v) for v in args.features.split(",")], dtype=np.float64)
     except ValueError:
-        raise ConfigError(f"--features expects comma-separated numbers, got {text!r}") from None
+        raise ConfigError(
+            f"--features expects comma-separated numbers, got {args.features!r}") from None
+    return fc.model_for(x)
 
 
 def cmd_evaluate(args):
@@ -209,10 +204,6 @@ def cmd_evaluate(args):
     spec = model_io.load_spec_from_doc(doc)
     ds = load_csv(args.data, spec)
     features = ds.features if fc.conditional else None
-    if fc.conditional and ds.features.shape[1] != fc.net.input_dim:
-        raise ConfigError(
-            f"model expects {fc.net.input_dim} features, data provides {ds.features.shape[1]}"
-        )
     report = evaluate_forecaster(
         fc, ds.targets, features, m_samples=args.energy_samples, seed=_seed(args),
         with_energy=not args.no_energy,
@@ -242,8 +233,7 @@ def _parse_fixes(fix_args, dim):
 
 
 def cmd_density(args):
-    fc, _ = model_io.load_model(args.model)
-    model = fc.model_for(_features_arg(fc, args.features))
+    model = _model(args)
     if args.grid < 2:
         raise ConfigError("grid resolution must be >= 2")
     fixed = _parse_fixes(args.fix, model.dim)
@@ -271,11 +261,10 @@ def cmd_density(args):
 
 
 def cmd_sample(args):
-    fc, _ = model_io.load_model(args.model)
+    model = _model(args)
     seed = _seed(args, required=True)
     if args.count < 1:
         raise ConfigError("--count must be >= 1")
-    model = fc.model_for(_features_arg(fc, args.features))
     draws = model_sample(model, args.count, seed)
     _emit(args, args.out, _csv([f"y{d+1}" for d in range(model.dim)], draws),
           f"{args.count} samples written to {args.out}")
@@ -327,13 +316,8 @@ def cmd_diagnose_miso(args):
     return 0
 
 
-def _worst(values):
-    """Largest of some scalars or arrays; NaN if any value is NaN, so a check fails."""
-    return float(np.max([np.max(v) for v in values]))
-
-
 def _verify_battery(model, level, seed):
-    """Yield (check name, passed, detail) for the invariant battery."""
+    """(check name, passed, detail) per invariant, each from batched calls; a NaN fails."""
     rng = np.random.default_rng(seed)
     lower = model.box_lower()
     upper = model.box_upper()
@@ -342,16 +326,12 @@ def _verify_battery(model, level, seed):
     def rand_points(n):
         return lower + (upper - lower) * rng.random((n, model.dim))
 
-    v = joint_cdf(model, lower)
-    checks.append(("lower corner cdf == 0", abs(v) <= 1e-12, f"{v:.3e}"))
-    v = joint_cdf(model, upper)
-    checks.append(("upper corner cdf == 1", abs(v - 1.0) <= 1e-12, f"{v - 1.0:.3e}"))
-    faces = []
-    for d in range(model.dim):
-        y = upper.copy()
-        y[d] = lower[d]
-        faces.append(abs(joint_cdf(model, y)))
-    worst = _worst(faces)
+    faces = np.where(np.eye(model.dim, dtype=bool), lower, upper)  # face d: y_d at its lower bound
+    c = joint_cdf(model, np.vstack([lower, upper, faces]))
+    lo, up = c[:2].tolist()
+    checks.append(("lower corner cdf == 0", abs(lo) <= 1e-12, f"{lo:.3e}"))
+    checks.append(("upper corner cdf == 1", abs(up - 1.0) <= 1e-12, f"{up - 1.0:.3e}"))
+    worst = float(np.max(np.abs(c[2:])))
     checks.append(("lower faces cdf == 0", worst <= 1e-12, f"{worst:.3e}"))
 
     pts = rand_points(500)
@@ -369,36 +349,28 @@ def _verify_battery(model, level, seed):
         ("cdf monotone on random pairs", bool(np.all(diff >= -1e-12)), f"min diff {diff.min():.3e}")
     )
 
-    gaps = []
-    for d in range(model.dim):
-        ys = np.tile(upper, (50, 1))
-        ys[:, d] = np.linspace(lower[d], upper[d], 50)
-        joint = joint_cdf(model, ys)
-        marg = normalized_cdf(model.marginals[d], ys[:, d], model.bounds[d])
-        gaps.append(np.abs(joint - marg))
-    worst = _worst(gaps)
+    grid = np.linspace(lower, upper, 50).T  # row d runs y_d across its bounds
+    ys = np.tile(upper, (model.dim, 50, 1))  # block d: grid row d as y_d, the rest at upper
+    ys[range(model.dim), :, range(model.dim)] = grid
+    joint = joint_cdf(model, ys.reshape(-1, model.dim)).reshape(model.dim, 50)
+    marg = [normalized_cdf(m, g, m_b) for m, g, m_b in zip(model.marginals, grid, model.bounds)]
+    worst = float(np.max(np.abs(joint - marg)))
     checks.append(("margins reproduce marginal cdf", worst <= 1e-12, f"max {worst:.3e}"))
 
-    gaps = []
-    for d in range(model.dim):
-        ps = rng.random(50)
-        ys = inverse_cdf(model.marginals[d], ps, model.bounds[d])
-        back = normalized_cdf(model.marginals[d], ys, model.bounds[d])
-        gaps.append(np.abs(back - ps))
-    worst = _worst(gaps)
+    ps = rng.random((model.dim, 50))
+    back = [normalized_cdf(m, inverse_cdf(m, q, m_b), m_b)
+            for m, q, m_b in zip(model.marginals, ps, model.bounds)]
+    worst = float(np.max(np.abs(back - ps)))
     checks.append(("quantile/cdf round trip", worst <= 1e-8, f"max {worst:.3e}"))
 
     if level == "full":
         h = 1e-3 * (upper - lower)
         span = upper - lower
         interior = lower + span * (0.05 + 0.9 * rng.random((25, model.dim)))
-        errors = []
-        for y in interior:
-            fd = mixed_partial_fd(model, y, h)
-            an = joint_pdf(model, y)
-            scale = max(abs(an), abs(fd), 1e-12)
-            errors.append(abs(an - fd) / scale)
-        worst = _worst(errors)
+        fd = np.array([mixed_partial_fd(model, y, h) for y in interior])
+        an = joint_pdf(model, interior)
+        scale = np.maximum(np.maximum(np.abs(an), np.abs(fd)), 1e-12)
+        worst = float(np.max(np.abs(an - fd) / scale))
         checks.append(("density matches FD mixed partial", worst <= 1e-3, f"max rel {worst:.3e}"))
 
         if model.dim <= 3:
@@ -428,9 +400,7 @@ def _simpson_box_integral(model, n=48):
 
 
 def cmd_verify(args):
-    fc, _ = model_io.load_model(args.model)
-    model = fc.model_for(_features_arg(fc, args.features))
-    checks = _verify_battery(model, args.level, _seed(args))
+    checks = _verify_battery(_model(args), args.level, _seed(args))
     failures = 0
     for name, ok, detail in checks:
         failures += 0 if ok else 1

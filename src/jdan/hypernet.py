@@ -15,6 +15,7 @@ there is no network at all: the raw vector itself is the trainable object,
 which is the plain density-estimation mode.
 """
 
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -56,9 +57,12 @@ class ArchitectureDescriptor:
             self.hypernet_hidden = list(DEFAULT_HYPERNET_HIDDEN)
         if len(self.marginal_hidden) != self.dim or len(self.activations) != self.dim:
             raise ContractError("need hidden sizes and an activation per marginal")
-        for h in self.marginal_hidden:
-            if not h or any(int(w) < 1 for w in h):
-                raise ContractError("marginal hidden widths must be positive")
+        for widths in [self.hypernet_hidden, *self.marginal_hidden]:
+            if not all(isinstance(w, numbers.Integral) and not isinstance(w, bool) and w >= 1
+                       for w in widths):
+                raise ContractError(f"hidden widths must be positive integers, got {widths!r}")
+        if not all(self.marginal_hidden):
+            raise ContractError("every marginal needs a hidden layer")
         for a in self.activations:
             if a not in KINDS:
                 raise ContractError(f"unknown activation {a!r}")
@@ -69,12 +73,7 @@ class ArchitectureDescriptor:
         return [1] + [int(w) for w in self.marginal_hidden[d]] + [1]
 
     def param_count(self):
-        total = 0
-        for d in range(self.dim):
-            sizes = self.marginal_layer_sizes(d)
-            for a, b in zip(sizes[:-1], sizes[1:]):
-                total += a * b + b
-        return total + n_pairs(self.dim)
+        return self.partition()[1][1]
 
     def partition(self):
         """Index ranges of the flat raw vector, in serialization order."""
@@ -263,6 +262,8 @@ class Forecaster:
         x = np.atleast_1d(np.asarray(x, dtype=np.float64))
         if x.ndim > 2:
             raise ContractError("features must be a vector or a (rows, features) block")
+        if x.shape[-1] != self.net.input_dim:  # checked before the scaler can broadcast
+            raise ContractError(f"expected {self.net.input_dim} features, got {x.shape[-1]}")
         if self.feature_scaler is not None:
             x = self.feature_scaler.transform(x)
         blocks = [x] if x.ndim == 1 else [x[rows] for rows in row_blocks(len(x))]

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .copula import joint_pdf, row_blocks, sample as copula_sample
+from .copula import joint_pdf, marginal_cdf_values, row_blocks, sample as copula_sample
 from .data import clamp_to_bounds, in_bounds_mask
 from .errors import ContractError
 from .hypernet import Forecaster
@@ -130,13 +130,9 @@ def pit_values(fc: Forecaster, targets, features=None):
 
 
 def _pit_values(model, targets):
-    targets = clamp_to_bounds(targets, model.bounds)
-    n, dimension = targets.shape
-    out = np.empty((n, dimension))
-    for rows in row_blocks(n):
-        part = model.take(rows)
-        for d in range(dimension):
-            out[rows, d] = normalized_cdf(part.marginals[d], targets[rows, d], model.bounds[d])
+    out = np.empty(targets.shape)
+    for rows in row_blocks(len(targets)):
+        out[rows] = marginal_cdf_values(model.take(rows), targets[rows])
     return out
 
 

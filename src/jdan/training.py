@@ -12,6 +12,7 @@ results are bitwise reproducible for a given seed and batch order.
 """
 
 import math
+import numbers
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -45,10 +46,14 @@ class TrainConfig:
     validation_fraction: float = 0.2
 
     def __post_init__(self):
-        if self.learning_rate <= 0 or self.grad_clip <= 0:
-            raise ConfigError("learning_rate and grad_clip must be positive")
-        if min(self.batch_size, self.max_epochs, self.patience) < 1:
-            raise ConfigError("batch_size, max_epochs and patience must be >= 1")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigError("learning_rate must be finite and positive")
+        if not self.grad_clip > 0:  # NaN included; inf turns clipping off
+            raise ConfigError("grad_clip must be positive")
+        counts = (self.batch_size, self.max_epochs, self.patience)
+        if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= 1
+                   for v in counts):
+            raise ConfigError("batch_size, max_epochs and patience must be integers >= 1")
         if not 0.0 < self.validation_fraction < 1.0:
             raise ConfigError("validation_fraction must lie in (0, 1)")
         if self.seed < 0:

@@ -1,9 +1,14 @@
 """Shared helpers: random model/architecture construction for the suite."""
 
 import numpy as np
+from hypothesis import settings
 
 from jdan.copula import joint_pdf
 from jdan.hypernet import ArchitectureDescriptor, materialize
+
+# every run draws the same examples and writes no example database (.hypothesis/)
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 
 def unit_arch(dim, hidden=(8,), feature_dim=0, activation="sigmoid", hyper=(16,)):

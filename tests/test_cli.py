@@ -378,6 +378,15 @@ MALFORMED = {
     "config_is_a_list": ("train", [1, 2]),
     "config_string_bound": ("train", {"bounds": [["a", 1.0], [0.0, 1.0]]}),
     "config_hidden_is_int": ("train", {"architecture": {"marginal_hidden": 5}}),
+    "config_hidden_fraction": ("train", {"architecture": {"marginal_hidden": [8.5]}}),
+    "config_hypernet_zero": ("train", {"architecture": {"hypernet_hidden": [0]}}),
+    "config_hypernet_text": ("train", {"architecture": {"hypernet_hidden": ["a"]}}),
+    "config_hypernet_fraction": ("train", {"architecture": {"hypernet_hidden": [2.5]}}),
+    "config_batch_float": ("train", {"training": {"batch_size": 64.0}}),
+    "config_epochs_fraction": ("train", {"training": {"max_epochs": 2.5}}),
+    "config_patience_fraction": ("train", {"training": {"max_epochs": 1, "patience": 1.5}}),
+    "config_learning_rate_nan": ("train", {"training": {"learning_rate": float("nan")}}),
+    "config_grad_clip_nan": ("train", {"training": {"grad_clip": float("nan")}}),
     "document_is_a_list": ("verify", [1, 2]),
     "document_string_bound": ("verify", lambda d: d["bounds"][0].update(lower="a")),
     "document_hidden_is_int": ("verify", lambda d: d["architecture"].update(marginal_hidden=5)),
@@ -487,6 +496,45 @@ def test_verify_full_passes_on_bundled_models(name, features, capsys):
     assert out.count("pass  ") == 10 and "FAIL" not in out
     assert "density integrates to 1 (simpson)" in out
     assert out.endswith("verify: all 10 checks passed\n")
+
+
+# `verify --level full` stdout on the committed models, captured before the battery was batched
+PINNED_VERIFY = {"uniform_d2": [], "conditional_d2": ["--features", "0.2"]}
+PINNED_VERIFY_OUT = {
+    "uniform_d2": (
+        'pass  lower corner cdf == 0  (0.000e+00)\n'
+        'pass  upper corner cdf == 1  (0.000e+00)\n'
+        'pass  lower faces cdf == 0  (0.000e+00)\n'
+        'pass  cdf within [0,1]  (range [7.964e-05, 0.978942])\n'
+        'pass  pdf nonnegative  (min 9.251e-01)\n'
+        'pass  cdf monotone on random pairs  (min diff 1.562e-03)\n'
+        'pass  margins reproduce marginal cdf  (max 0.000e+00)\n'
+        'pass  quantile/cdf round trip  (max 4.281e-13)\n'
+        'pass  density matches FD mixed partial  (max rel 6.282e-08)\n'
+        'pass  density integrates to 1 (simpson)  (1.000000)\n'
+        'verify: all 10 checks passed\n'
+    ),
+    "conditional_d2": (
+        'pass  lower corner cdf == 0  (0.000e+00)\n'
+        'pass  upper corner cdf == 1  (0.000e+00)\n'
+        'pass  lower faces cdf == 0  (0.000e+00)\n'
+        'pass  cdf within [0,1]  (range [8.958e-05, 0.979902])\n'
+        'pass  pdf nonnegative  (min 7.535e-01)\n'
+        'pass  cdf monotone on random pairs  (min diff 1.822e-03)\n'
+        'pass  margins reproduce marginal cdf  (max 0.000e+00)\n'
+        'pass  quantile/cdf round trip  (max 7.722e-11)\n'
+        'pass  density matches FD mixed partial  (max rel 1.359e-07)\n'
+        'pass  density integrates to 1 (simpson)  (1.000000)\n'
+        'verify: all 10 checks passed\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_VERIFY))
+def test_verify_output_is_pinned(name, capsys):
+    model = os.path.join(RUNS, f"{name}_model.json")
+    assert main(["verify", "--model", model, "--level", "full"] + PINNED_VERIFY[name]) == 0
+    assert capsys.readouterr().out == PINNED_VERIFY_OUT[name]
 
 
 def test_density_too_many_free_dims(tmp_path):
@@ -604,6 +652,17 @@ def test_non_finite_conditional_documents(tmp_path):
     assert main(["verify", "--model", model, "--features", "0.2", "--quiet"]) == 3
     assert main(["evaluate", "--model", model, "--data", str(rows), "--no-energy",
                  "--quiet", "--out", str(tmp_path / "r.json")]) == 3
+
+
+def test_evaluate_feature_count_mismatch_exits_2(tmp_path, capsys):
+    # lag windows add lagged columns, so the data carries more features than the net takes
+    model = _edited_doc(os.path.join(RUNS, "conditional_d2_model.json"), tmp_path / "lag.json",
+                        lambda doc: doc["data_spec"].update(lag_windows=[1]))
+    assert main(["evaluate", "--model", model, "--data",
+                 os.path.join(ROOT, "data", "conditional_d2.csv"), "--no-energy", "--quiet",
+                 "--out", str(tmp_path / "r.json")]) == 2
+    assert capsys.readouterr().err == "error: expected 1 features, got 3\n"
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_verify_battery_fails_on_nan(trained):

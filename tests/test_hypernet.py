@@ -1,5 +1,7 @@
 """Flat-vector <-> model bijection and the conditioning network."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from jdan.hypernet import (
     nfn_forward,
 )
 from jdan.marginal import Bounds, positivity_map
+from jdan.model_io import load_model
 
 from conftest import unit_arch
 
@@ -126,6 +129,23 @@ def test_architecture_validation():
         )
     with pytest.raises(ContractError):
         ArchitectureDescriptor(dim=2, bounds=[(0.0, 1.0)] * 2, feature_dim=-1)
+    for hidden in ([[8.5], [2]], [[], [2]], [["8"], [2]]):
+        with pytest.raises(ContractError):
+            ArchitectureDescriptor(dim=2, bounds=[(0.0, 1.0)] * 2, marginal_hidden=hidden)
+    for hyper in ([0], ["a"], [2.5], [True]):
+        with pytest.raises(ContractError):
+            ArchitectureDescriptor(dim=2, bounds=[(0.0, 1.0)] * 2, hypernet_hidden=hyper)
+
+
+@pytest.mark.parametrize("folder", ["runs", "perfbench/models"])
+def test_committed_model_documents_still_load(folder):
+    root = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), folder)
+    names = sorted(n for n in os.listdir(root) if n.endswith("_model.json"))
+    assert names
+    for name in names:
+        fc, _ = load_model(os.path.join(root, name))
+        x = np.zeros(fc.net.input_dim) if fc.conditional else None
+        assert flatten(fc.model_for(x)).shape == (fc.arch.param_count(),)
 
 
 def test_initialize_unconditional_deterministic():
@@ -250,6 +270,18 @@ def test_forecaster_applies_feature_scaler():
         flatten(fc.model_for(np.array([7.0]))),
         flatten(bare.model_for(np.array([1.0]))),
     )
+
+
+def test_forecaster_checks_the_feature_count_before_scaling():
+    # a one-column block would broadcast against a two-column scaler
+    from jdan.data import ColumnScaler
+
+    arch = unit_arch(dim=2, feature_dim=2)
+    scaler = ColumnScaler(shift=np.array([0.0, 1.0]), scale=np.array([1.0, 2.0]))
+    fc = Forecaster(initialize_net(arch, seed=2), arch, feature_scaler=scaler)
+    for x in (np.array([0.5]), np.zeros((4, 1)), np.zeros((4, 3))):
+        with pytest.raises(ContractError, match="expected 2 features"):
+            fc.model_for(x)
 
 
 def test_pair_count_grows_with_dim():

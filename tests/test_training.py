@@ -186,6 +186,12 @@ def test_train_config_validation():
         TrainConfig(validation_fraction=1.0)
     with pytest.raises(ConfigError):
         TrainConfig(patience=-1)
+    for bad in ({"batch_size": 64.0}, {"max_epochs": 2.5}, {"patience": 1.5},
+                {"patience": True}, {"learning_rate": float("nan")},
+                {"learning_rate": float("inf")}, {"grad_clip": float("nan")}):
+        with pytest.raises(ConfigError):
+            TrainConfig(**bad)
+    TrainConfig(batch_size=np.int64(64), grad_clip=float("inf"))  # numpy counts; no clipping
 
 
 def test_train_config_rejects_negative_seed():
