@@ -9,6 +9,7 @@ seeds — there are no wall-clock defaults anywhere.
 import argparse
 import dataclasses
 import json
+import numbers
 import os
 import sys
 
@@ -99,13 +100,9 @@ def _seed(args, cfg=None, required=False):
             where = "config \"seed\" or --seed" if cfg is not None else "--seed"
             raise ConfigError(f"{args.command} requires an explicit seed ({where})")
         return 0
-    try:
-        value = int(seed)
-    except (OverflowError, TypeError, ValueError):
-        value = -1  # rejected below, like a negative seed
-    if value < 0:
+    if not isinstance(seed, numbers.Integral) or isinstance(seed, bool) or seed < 0:
         raise ConfigError(f"a seed must be a non-negative integer, got {seed!r}")
-    return value
+    return int(seed)
 
 
 def _arch_from_config(cfg, dim, feature_dim, bounds):

@@ -7,11 +7,13 @@ a data-preparation concern upstream of this library.
 """
 
 import csv
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (
+    ConfigError,
     ContractError,
     CsvParseError,
     DegenerateDimensionError,
@@ -64,6 +66,9 @@ class LoadSpec:
         names = list(self.feature_columns) + list(self.target_columns)
         if len(set(names)) != len(names):
             raise ContractError("feature and target columns must be distinct")
+        if not all(isinstance(l, numbers.Integral) and not isinstance(l, bool)
+                   for l in self.lag_windows):
+            raise ConfigError(f"lag windows must be integers, got {self.lag_windows!r}")
         self.lag_windows = [int(l) for l in self.lag_windows]
         if any(l < 1 for l in self.lag_windows):
             raise ContractError("lag windows must be >= 1")

@@ -12,6 +12,7 @@ scores instead of corrupting them with boundary densities.
 """
 
 import json
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -150,25 +151,75 @@ def energy_score(fc: Forecaster, targets, features=None, m_samples=200, seed=0):
     Per row: mean ||s_j - y|| - (1/2m^2) sum ||s_j - s_k||, with the m
     forecast samples drawn from that row's model under a per-row child
     seed, so the result is deterministic in (seed, row order).
+
+    The pair sum runs over the full m x m square, one coordinate at a time:
+    each coordinate's differences are squared in place in a (rows, m, m)
+    buffer and added in the order numpy's pairwise summation adds a norm's
+    terms (left to right below 8 dimensions), and the square root is taken
+    in place. Every distance is bitwise that of ``np.linalg.norm``, without
+    its (rows, m, m, D) block. The memory is two m x m buffers (four from 8
+    dimensions up) per row of a pair block, allocated before any sampling.
     """
     return _energy_score(*_model_for_rows(fc, targets, features), m_samples, seed)
 
 
+def _summation_order(dim):
+    """Coordinates as nested tuples, each summed left to right, in the order numpy's
+    pairwise summation adds a contiguous axis of fewer than 16 terms (copula.MAX_DIM is 12)."""
+    if dim < 8:
+        return tuple(range(dim))
+    return ((((0, 1), (2, 3)), ((4, 5), (6, 7))),) + tuple(range(8, dim))
+
+
+def _buffers_for(order):
+    """Buffers _add_squares needs: the running sum and one per pending operand."""
+    if isinstance(order, int):
+        return 1
+    return max([_buffers_for(order[0])] + [1 + _buffers_for(o) for o in order[1:]])
+
+
+def _add_squares(order, t, bufs):
+    """bufs[0][i, j, k] = sum over the order's coordinates d of (t[i, j, d] - t[i, k, d])^2."""
+    if isinstance(order, int):
+        c = t[..., order]
+        np.subtract(c[:, :, None], c[:, None, :], out=bufs[0])
+        bufs[0] *= bufs[0]
+        return
+    _add_squares(order[0], t, bufs)
+    for o in order[1:]:
+        _add_squares(o, t, bufs[1:])
+        bufs[0] += bufs[1]
+
+
 def _energy_score(model, targets, m_samples, seed):
-    if m_samples < 2:
-        raise ContractError("energy score needs m_samples >= 2")
-    n = targets.shape[0]
+    if not isinstance(m_samples, numbers.Integral) or isinstance(m_samples, bool) or m_samples < 2:
+        raise ContractError(f"energy score needs an integer m_samples >= 2, got {m_samples!r}")
+    m = int(m_samples)
+    n, dim = targets.shape
+    order = _summation_order(dim)
+    widest = min(n, row_blocks(n, m * m)[0].stop) if n else 0  # rows of the largest pair block
+    count = _buffers_for(order)
+    try:  # a ValueError when numpy refuses the shape outright
+        bufs = [np.empty((widest, m, m)) for _ in range(count)]
+    except (MemoryError, ValueError):
+        raise ContractError(f"energy score with m_samples={m} needs "
+                            f"{count * widest * m * m * 8} bytes for its pair distances") from None
     row_seeds = np.random.SeedSequence(seed).spawn(n)
     out = np.empty(n)
-    for rows in row_blocks(n, m_samples):
-        s = copula_sample(model.take(rows), m_samples, row_seeds[rows])
-        to_obs = np.linalg.norm(s - targets[rows, None, :], axis=-1).mean(axis=-1)
+    for rows in row_blocks(n, m):
+        s = copula_sample(model.take(rows), m, row_seeds[rows])
+        d = s - targets[rows, None, :]
+        d *= d
+        to_obs = np.sqrt(d.sum(axis=-1)).mean(axis=-1)
         spread = np.empty_like(to_obs)
-        for pairs in row_blocks(s.shape[0], m_samples**2):
+        for pairs in row_blocks(s.shape[0], m * m):
             t = s[pairs]
-            dist = np.linalg.norm(t[:, :, None, :] - t[:, None, :, :], axis=-1)
-            spread[pairs] = dist.reshape(t.shape[0], -1).sum(axis=-1)
-        out[rows] = to_obs - spread / (2.0 * m_samples**2)
+            r = t.shape[0]
+            block = [b[:r] for b in bufs]
+            _add_squares(order, t, block)
+            np.sqrt(block[0], out=block[0])
+            spread[pairs] = block[0].reshape(r, -1).sum(axis=-1)
+        out[rows] = to_obs - spread / (2.0 * m**2)
     return float(np.mean(out))
 
 

@@ -79,6 +79,23 @@ def ref_energy(fc, targets, features, m_samples, seed):
     return float(np.mean(out))
 
 
+def norm_energy(model, targets, m_samples, seed):
+    """The blocked energy score with its distances from np.linalg.norm on (rows, m, m, D)."""
+    n = targets.shape[0]
+    row_seeds = np.random.SeedSequence(seed).spawn(n)
+    out = np.empty(n)
+    for rows in copula.row_blocks(n, m_samples):
+        s = sample(model.take(rows), m_samples, row_seeds[rows])
+        to_obs = np.linalg.norm(s - targets[rows, None, :], axis=-1).mean(axis=-1)
+        spread = np.empty_like(to_obs)
+        for pairs in copula.row_blocks(s.shape[0], m_samples**2):
+            t = s[pairs]
+            dist = np.linalg.norm(t[:, :, None, :] - t[:, None, :, :], axis=-1)
+            spread[pairs] = dist.reshape(t.shape[0], -1).sum(axis=-1)
+        out[rows] = to_obs - spread / (2.0 * m_samples**2)
+    return float(np.mean(out))
+
+
 # ---------------------------------------------------------------- fixtures
 
 
@@ -175,7 +192,47 @@ def test_energy_score_matches_per_row_sampler(monkeypatch, conditional, block_po
     targets, features = make_rows(fc, 9, seed=6)
     got = metrics.energy_score(fc, targets, features, m_samples=12, seed=7)
     want = ref_energy(fc, targets, features, 12, 7)
-    np.testing.assert_allclose(got, want, rtol=1e-9)
+    assert got == want
+
+
+@pytest.mark.parametrize("block_points", [4096, 30, 1])
+@pytest.mark.parametrize("m", [2, 3, 65, 200])
+@pytest.mark.parametrize("dim", [2, 3, 9])
+def test_energy_score_is_bitwise_the_norm_form(monkeypatch, dim, m, block_points):
+    monkeypatch.setattr(copula, "BLOCK_POINTS", block_points)
+    arch = unit_arch(dim, hidden=(4,), feature_dim=2, hyper=(6,))
+    rng = np.random.default_rng(dim * 1000 + m)
+    model = Forecaster(initialize_net(arch, seed=dim), arch).model_for(rng.normal(size=(5, 2)))
+    targets = rng.random((5, dim))
+    got = metrics._energy_score(model, targets, m, 11)
+    assert np.array_equal(got, norm_energy(model, targets, m, 11))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 7, 8, 9, 12, 15])
+def test_pair_distances_follow_numpy_summation_order(dim):
+    t = np.random.default_rng(dim).normal(size=(3, 7, dim)) * 10.0
+    order = metrics._summation_order(dim)
+    bufs = [np.empty((3, 7, 7)) for _ in range(metrics._buffers_for(order))]
+    metrics._add_squares(order, t, bufs)
+    want = np.linalg.norm(t[:, :, None, :] - t[:, None, :, :], axis=-1)
+    assert np.array_equal(np.sqrt(bufs[0]), want)
+
+
+@pytest.mark.parametrize("m_samples", [1, 0, 2.0, 200.5, True, "200", None])
+def test_energy_score_rejects_bad_sample_counts(m_samples):
+    fc = make_forecaster(False, 2, "sigmoid")
+    targets, _ = make_rows(fc, 3)
+    with pytest.raises(ContractError, match="m_samples"):
+        metrics.energy_score(fc, targets, m_samples=m_samples)
+
+
+def test_energy_score_refuses_an_unallocatable_pair_buffer(monkeypatch):
+    fc = make_forecaster(False, 2, "sigmoid")
+    targets, _ = make_rows(fc, 3)
+    monkeypatch.setattr(metrics, "copula_sample", lambda *a: pytest.fail("sampled first"))
+    # 2**32 squared is past numpy's largest array: refused without allocating anything
+    with pytest.raises(ContractError, match=r"m_samples=4294967296 needs \d+ bytes"):
+        metrics.energy_score(fc, targets, m_samples=2**32)
 
 
 def test_evaluate_builds_one_model_for_every_metric(monkeypatch):

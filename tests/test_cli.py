@@ -387,6 +387,11 @@ MALFORMED = {
     "config_patience_fraction": ("train", {"training": {"max_epochs": 1, "patience": 1.5}}),
     "config_learning_rate_nan": ("train", {"training": {"learning_rate": float("nan")}}),
     "config_grad_clip_nan": ("train", {"training": {"grad_clip": float("nan")}}),
+    "config_lag_fraction": ("train", {"data": {"lag_windows": [1.5]}}),
+    "config_lag_bool": ("train", {"data": {"lag_windows": [True]}}),
+    "config_seed_fraction": ("train", {"seed": 2.7}),
+    "config_seed_bool": ("train", {"seed": True}),
+    "config_seed_text": ("train", {"seed": "3"}),
     "document_is_a_list": ("verify", [1, 2]),
     "document_string_bound": ("verify", lambda d: d["bounds"][0].update(lower="a")),
     "document_hidden_is_int": ("verify", lambda d: d["architecture"].update(marginal_hidden=5)),
@@ -402,12 +407,13 @@ def test_malformed_input_exits_2(case, trained, tmp_path, capsys):
         argv = ["sample", "--model", os.path.join(RUNS, "conditional_d2_model.json"),
                 "-n", "5", "--seed", "1", "--features", "abc"]
     elif command == "train":
-        if isinstance(content, dict):
-            content = {"seed": 0, "out": "m.json",
-                       "data": {"path": str(trained["data"]), "target_columns": ["y1", "y2"]},
-                       "training": {"max_epochs": 1}, **content}
+        if isinstance(content, dict):  # no --seed below, so the config's own seed is read
+            data = {"path": str(trained["data"]), "target_columns": ["y1", "y2"],
+                    **content.get("data", {})}
+            content = {"seed": 0, "out": "m.json", "training": {"max_epochs": 1},
+                       **content, "data": data}
         path.write_text(json.dumps(content))
-        argv = ["train", "--config", str(path), "--seed", "1", "--quiet"]
+        argv = ["train", "--config", str(path), "--quiet"]
     else:
         if callable(content):
             doc = json.loads(open(trained["model"]).read())
@@ -463,20 +469,27 @@ def test_negative_seed_exits_2(command, seed, trained, tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("name, report, pit_csv", [
-    ("uniform_d2", "uniform_metrics.json", "uniform_pit.csv"),
-    ("conditional_d2", "cond_metrics.json", None),
-])
-def test_committed_reports_are_reproduced(name, report, pit_csv, tmp_path):
-    # the energy score is Monte Carlo over drawn samples; every other field is exact
+@pytest.mark.parametrize("name, report, pit_csv, energy", [
+    ("uniform_d2", "uniform_metrics.json", "uniform_pit.csv", False),
+    ("conditional_d2", "cond_metrics.json", None, False),
+    ("conditional_d2", "cond_metrics.json", None, True),
+], ids=["uniform_d2-uniform_metrics.json-uniform_pit.csv", "conditional_d2-cond_metrics.json-None",
+        "conditional_d2-cond_metrics.json-energy"])
+def test_committed_reports_are_reproduced(name, report, pit_csv, energy, tmp_path):
+    # every field is reproduced exactly, the energy score too (default seed 0, m = 200);
+    # that one is checked on one model only, to keep the test short
     out, pit = tmp_path / "report.json", tmp_path / "pit.csv"
     assert main(["evaluate", "--model", os.path.join(RUNS, f"{name}_model.json"),
-                 "--data", os.path.join(ROOT, "data", f"{name}.csv"), "--no-energy",
+                 "--data", os.path.join(ROOT, "data", f"{name}.csv"),
+                 *([] if energy else ["--no-energy"]),
                  "--out", str(out), "--pit-out", str(pit), "--quiet"]) == 0
-    got = json.loads(out.read_text())
-    want = json.loads(open(os.path.join(RUNS, report)).read())
-    assert got.pop("energy_score") is None and want.pop("energy_score") > 0.0
-    assert got == want
+    want = open(os.path.join(RUNS, report)).read()
+    if energy:
+        assert out.read_text() == want
+    else:
+        got, want = json.loads(out.read_text()), json.loads(want)
+        assert got.pop("energy_score") is None and want.pop("energy_score") > 0.0
+        assert got == want
     if pit_csv is not None:
         assert pit.read_bytes() == open(os.path.join(RUNS, pit_csv), "rb").read()
 
@@ -662,6 +675,20 @@ def test_evaluate_feature_count_mismatch_exits_2(tmp_path, capsys):
                  os.path.join(ROOT, "data", "conditional_d2.csv"), "--no-energy", "--quiet",
                  "--out", str(tmp_path / "r.json")]) == 2
     assert capsys.readouterr().err == "error: expected 1 features, got 3\n"
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_unallocatable_energy_samples_exit_2(tmp_path, capsys):
+    with open(os.path.join(ROOT, "data", "uniform_d2.csv"), encoding="utf-8") as fh:
+        rows = tmp_path / "rows.csv"
+        rows.write_text("".join(fh.readlines()[:4]), encoding="utf-8")
+    # 2**32 squared is past numpy's largest array: refused without allocating anything
+    assert main(["evaluate", "--model", os.path.join(RUNS, "uniform_d2_model.json"),
+                 "--data", str(rows), "--energy-samples", str(2**32), "--quiet",
+                 "--out", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: energy score with m_samples=4294967296 needs ")
+    assert err.endswith(" bytes for its pair distances\n")
     assert not (tmp_path / "r.json").exists()
 
 
