@@ -148,16 +148,14 @@ def affine(a, w, b=None):
     (n, out) to match; a is (m, in) or (n, k, in), and broadcasts the numpy
     matmul way. Without b there is no bias term.
 
-    Plain shared weights over plain points a (m, in) sum the inputs in order,
-    so a row's value does not depend on the other rows in the call as a BLAS
-    product's does. Per-row weights and tape nodes take the matmul.
+    Plain shared weights over plain points a (m, in) go through
+    ``ordered_affine``, so a row's value does not depend on the other rows in
+    the call as a BLAS product's does. Per-row weights and tape nodes take
+    the matmul.
     """
     if w.ndim == 2 and not isinstance(w, Tensor) and not isinstance(a, Tensor):
-        at = a.T
-        out = w[:, :1] * at[0]
-        for j in range(1, w.shape[1]):
-            out += w[:, j:j + 1] * at[j]
-        return out.T if b is None else out.T + b
+        out = ordered_affine(np.ascontiguousarray(a.T), w).T
+        return out if b is None else out + b
     av, wv = value(a), value(w)
     out = av @ np.swapaxes(wv, -1, -2)
     edges = [(a, lambda g: _unbroadcast(g @ wv, np.shape(av))),
@@ -167,6 +165,29 @@ def affine(a, w, b=None):
         out += bv[..., None, :]
         edges.append((b, lambda g: _unbroadcast(g.sum(axis=-2), np.shape(bv))))
     return _node(out, *edges)
+
+
+def ordered_affine(at, w, b=None):
+    """One plain layer with the points on the last axes: at (in, ...) -> (out, ...).
+
+    w (out, in) is shared by points at[j] of any shape; per-row w
+    (n, out, in) and b (n, out) take points at[j] of shape (n, k). Every
+    output sums its inputs in order j = 0, 1, ... and then adds b, so each
+    point's value depends on nothing but that point and its row's
+    parameters, and a one-row shared set gives the bits of its row in a block.
+    """
+    if w.ndim == 2:
+        wt, bt = w.T[:, :, None], (None if b is None else b[:, None])
+    else:
+        wt, bt = w.transpose(2, 1, 0)[..., None], (None if b is None else b.T[:, :, None])
+    out = wt[0] * at[0]
+    if len(at) > 1:
+        tmp = np.empty_like(out)
+        for j in range(1, len(at)):
+            out += np.multiply(wt[j], at[j], out=tmp)
+    if bt is not None:
+        out += bt
+    return out
 
 
 def reshape(a, shape):

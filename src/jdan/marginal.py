@@ -36,6 +36,7 @@ WEIGHT_EPS = 1e-6       # floor added to softplus so weights stay strictly posit
 DENOM_EPS = 1e-12       # below this the marginal is considered flat, hence broken
 INVERT_TOL = 1e-10
 INVERT_MAX_ITERS = 200
+TABLE_INTERVALS = 128   # the CDF table's equal intervals over [L, U]: even, for Simpson, and 2^7
 
 
 def positivity_map(raw):
@@ -127,18 +128,28 @@ def _as_column(params, y):
     return y.reshape(params.rows, -1, 1), y.shape
 
 
-def _psi(params, weights, a, deriv):
+def _psi(params, weights, a, deriv, ordered=False):
     """psi at column points a and, with deriv, d psi / dy there (else None).
 
     The chain rule runs layer by layer beside the forward pass, so the
     derivative is exact and, with positive weights, never negative.
+
+    With ordered, the parameters are plain and run on unit planes through
+    ``autodiff.ordered_affine``: a point's values then depend only on that
+    point and its row's parameters, and a one-row shared set gives the bits
+    of its row in a block. Otherwise layers go through ``autodiff.affine``,
+    which takes tape nodes and gives per-row blocks the BLAS product (the
+    committed training histories' validation losses carry its bits).
     """
+    layer = ad.ordered_affine if ordered else ad.affine
+    if ordered:  # one plane per unit: (1, m) shared, (1, n, k) per row
+        a = np.moveaxis(a, -1, 0)
     d = np.ones(a.shape) if deriv else None
     last = len(weights) - 1
     for k, (w, b) in enumerate(zip(weights, params.biases)):
-        pre = ad.affine(a, w, b)
+        pre = layer(a, w, b)
         if deriv:
-            d = ad.affine(d, w)
+            d = layer(d, w)
         if k < last:
             a = activations.apply(params.activation, pre)
             if deriv:
@@ -147,14 +158,20 @@ def _psi(params, weights, a, deriv):
             a = pre  # linear output layer
         if not np.all(np.isfinite(ad.value(a))):
             raise EvaluationError(f"non-finite activation in marginal layer {k}", layer=k)
+    if ordered:
+        a, d = np.moveaxis(a, 0, -1), (None if d is None else np.moveaxis(d, 0, -1))
     return a, d
 
 
 def _ends(params, weights, b: Bounds):
     """psi(L) and the span psi(U) - psi(L); a span below DENOM_EPS raises."""
     ends, _ = _psi(params, weights, np.array([[b.lower], [b.upper]]), False)
-    lower = ends[..., :1, :]
-    span = ends[..., 1:, :] - lower
+    return _normalizer(ends[..., :1, :], ends[..., -1:, :], b)
+
+
+def _normalizer(lower, upper, b: Bounds):
+    """psi(L) and the span psi(U) - psi(L), given both; a span below DENOM_EPS raises."""
+    span = upper - lower
     if np.any(ad.value(span) < DENOM_EPS):
         raise DegenerateMarginalError(
             f"marginal is flat over [{b.lower}, {b.upper}] "
@@ -200,6 +217,41 @@ def _pinned(cdf, y, b: Bounds):
     return np.where(y <= b.lower, 0.0, np.where(y >= b.upper, 1.0, np.clip(cdf, 0.0, 1.0)))
 
 
+def table_nodes(b: Bounds):
+    """The CDF table's TABLE_INTERVALS + 1 equally spaced nodes, exactly L first and U last."""
+    return np.linspace(b.lower, b.upper, TABLE_INTERVALS + 1)
+
+
+def _table(params, weights, b: Bounds, extra):
+    """psi(L), the span, and F on the table nodes followed by the extra points, from one pass.
+
+    extra is a point column as ``_as_column`` makes it. psi(L) and psi(U) are
+    the first and last nodes' values, so no separate pass finds them.
+    """
+    nodes = table_nodes(b)[:, None]
+    if params.rows is not None:
+        nodes = np.broadcast_to(nodes, (params.rows,) + nodes.shape)
+    pts = np.concatenate([nodes, np.clip(extra, b.lower, b.upper)], axis=-2)
+    psi, _ = _psi(params, weights, pts, False, ordered=True)
+    lower, span = _normalizer(psi[..., :1, :], psi[..., TABLE_INTERVALS:TABLE_INTERVALS + 1, :], b)
+    return lower, span, _pinned((psi - lower) / span, pts, b)
+
+
+def cdf_table(params: MarginalNetParams, b: Bounds, extra=None):
+    """(F on ``table_nodes(b)``, F at the extra points), from one pass through the net.
+
+    The table is (TABLE_INTERVALS + 1,) for a shared set and
+    (n, TABLE_INTERVALS + 1) for a block of n. The extra points are shaped as
+    ``normalized_cdf`` takes them, and their F comes back shaped like them.
+    Every value depends only on its point and its row's parameters.
+    """
+    if extra is None:
+        extra = np.empty((0,) if params.rows is None else (params.rows, 0))
+    col, shape = _as_column(params, extra)
+    f = _table(params, params.effective_weights(), b, col)[2][..., 0]
+    return f[..., :TABLE_INTERVALS + 1], f[..., TABLE_INTERVALS + 1:].reshape(shape)
+
+
 def normalized_cdf(params: MarginalNetParams, y, b: Bounds):
     """CDF on [L, U]: exactly 0 at L, exactly 1 at U; inputs outside are clamped."""
     y = np.asarray(y, dtype=np.float64)
@@ -219,21 +271,33 @@ def inverse_cdf(params: MarginalNetParams, p, b: Bounds):
     """Quantile function on [L, U] by safeguarded Newton (``rtsafe``).
 
     Takes probabilities in [0, 1] shaped like ``normalized_cdf``'s points;
-    p = 0 and p = 1 give the exact bounds. Each step gets F and f from one
-    pass; a point bisects its bracket when the Newton point is not finite,
-    leaves the bracket or fails to halve the step before last. Stops once
-    |F(y) - p| <= 1e-10 everywhere, F as ``normalized_cdf`` gives it, and
-    reports the offending bracket if 200 steps are not enough.
+    p = 0 and p = 1 give the exact bounds. One pass over the CDF table gives
+    psi(L), psi(U) and, for each p, the adjacent nodes whose F brackets it;
+    Newton starts from the secant point between them. Each step gets F and f
+    from one pass; a point bisects its bracket when the Newton point is not
+    finite, leaves the bracket or fails to halve the step before last. Stops
+    once |F(y) - p| <= 1e-10 everywhere, F as ``normalized_cdf`` gives it,
+    and reports the offending bracket if 200 steps are not enough.
     """
     p_arr = np.asarray(p, dtype=np.float64)
     if np.any((p_arr < 0.0) | (p_arr > 1.0)) or not np.all(np.isfinite(p_arr)):
         raise ContractError("probabilities must lie in [0, 1]")
     q, shape = _as_column(params, p_arr)
     weights = params.effective_weights()
-    lower, span = _ends(params, weights, b)
-    x = y = np.where(q >= 1.0, b.upper, b.lower + q * b.width)
+    lower, span, table = _table(params, weights, b, q[..., :0, :])
+    # one row of probabilities per table row: (1, m) for a shared set, (n, k) for a block
+    table, flat = (table.T, q.T) if params.rows is None else (table[..., 0], q[..., 0])
+    # the node i with F[i] <= p < F[i + 1]: F is 0 at L and 1 at U, and the binary
+    # search's own comparisons keep that even where rounding leaves F unsorted by an ulp
+    i = np.stack([np.searchsorted(t, v, side="right") for t, v in zip(table, flat)])
+    i = np.clip(i - 1, 0, TABLE_INTERVALS - 1)  # p = 0 and p = 1 are settled apart
+    f_lo, f_hi = np.take_along_axis(table, i, -1), np.take_along_axis(table, i + 1, -1)
+    nodes = table_nodes(b)
+    lo, hi = nodes[i].reshape(q.shape), nodes[i + 1].reshape(q.shape)
     live = (q > 0.0) & (q < 1.0)
-    lo, hi = np.full(q.shape, b.lower), np.full(q.shape, b.upper)
+    with np.errstate(divide="ignore", invalid="ignore"):  # f_hi > f_lo wherever p is live
+        start = lo + ((flat - f_lo) / (f_hi - f_lo)).reshape(q.shape) * (hi - lo)
+    x = y = np.where(live, start, np.where(q >= 1.0, b.upper, b.lower))
     step, old = hi - lo, hi - lo  # |last step| and |step before last|
     idx = np.arange(len(q))  # leading entries (per-row: parameter rows) still searching
     for _ in range(INVERT_MAX_ITERS):
@@ -245,7 +309,7 @@ def inverse_cdf(params: MarginalNetParams, p, b: Bounds):
         if not idx.size:
             break
         own = idx if params.rows is not None else slice(None)
-        psi, dpsi = _psi(params.take(idx), [w[own] for w in weights], x, True)
+        psi, dpsi = _psi(params.take(idx), [w[own] for w in weights], x, True, ordered=True)
         res = _pinned((psi - lower[own]) / span[own], x, b) - q
         live &= np.abs(res) > INVERT_TOL
         lo, hi = np.where(res > 0.0, lo, x), np.where(res > 0.0, x, hi)

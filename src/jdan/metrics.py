@@ -17,15 +17,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .copula import joint_pdf, marginal_cdf_values, row_blocks, sample as copula_sample
+from .copula import joint_pdf, row_blocks, sample as copula_sample
 from .data import clamp_to_bounds, in_bounds_mask
 from .errors import ContractError
 from .hypernet import Forecaster
-from .marginal import normalized_cdf
+from .marginal import TABLE_INTERVALS, cdf_table, normalized_cdf, table_nodes
 from .numerics import ks_statistic, simpson
 from .training import LOG_EPS
-
-CRPS_INTERVALS = 256  # total Simpson subintervals per observation
 
 
 @dataclass
@@ -67,6 +65,8 @@ class MetricsReport:
 def _model_for_rows(fc: Forecaster, targets, features):
     """(model, target rows): per-row parameters if conditional, else the shared set."""
     targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
+    if targets.shape[0] == 0:
+        raise ContractError("no rows to score")
     if fc.conditional and features is None:
         raise ContractError("conditional forecaster needs features")
     model = fc.model_for(np.atleast_2d(features) if fc.conditional else None)
@@ -97,31 +97,38 @@ def _log_score(model, targets):
 
 
 def crps_marginal(fc: Forecaster, targets, dim, features=None):
-    """Mean integral of (CDF(t) - step at y)^2 over the dim-th bounds.
+    """Mean over rows of the CRPS, the integral of (F(t) - step at y)^2 over the dim-th bounds.
 
-    The integrand has a jump at the observation, so Simpson is applied
-    separately below and above it (half the subintervals each); quadrature
-    across the kink would waste its accuracy. Both halves of every row in a
-    block are evaluated in one call.
+    Per row it is int_L^U F^2 - 2 int_y^U F + (U - y) (Gneiting & Raftery
+    2007), so one CDF table on fixed nodes serves every observation and no
+    quadrature straddles the jump at y. From one ``cdf_table`` pass per row
+    (the table and two extra points): int F^2 by Simpson over the table, and
+    int_y^U F as the table's Simpson panels from t_e up, t_e the last even
+    node at or below y, less a 3-point Simpson panel on [t_e, y].
     """
     return _crps_marginal(*_model_for_rows(fc, targets, features), dim)
 
 
 def _crps_marginal(model, targets, dim):
     b = model.bounds[dim]
-    targets = clamp_to_bounds(targets, model.bounds)
-    n = targets.shape[0]
-    half = CRPS_INTERVALS // 2
-    out = np.empty(n)
-    for rows in row_blocks(n, 2 * (half + 1)):
-        y = targets[rows, dim]
-        below_nodes = np.linspace(b.lower, y, half + 1, axis=-1)
-        above_nodes = np.linspace(y, b.upper, half + 1, axis=-1)
-        nodes = np.concatenate([below_nodes, above_nodes], axis=-1)
-        cdf = normalized_cdf(model.take(rows).marginals[dim], nodes, b)
-        below = simpson(cdf[:, :half + 1] ** 2, (y - b.lower) / half)
-        above = simpson((cdf[:, half + 1:] - 1.0) ** 2, (b.upper - y) / half)
-        out[rows] = below + above
+    y_all = clamp_to_bounds(targets, model.bounds)[:, dim]
+    nodes = table_nodes(b)
+    h = b.width / TABLE_INTERVALS
+    out = np.empty(len(y_all))
+    for rows in row_blocks(len(y_all), TABLE_INTERVALS + 3):
+        y = y_all[rows]
+        # index of t_e among the even nodes, and t_e itself
+        e = np.minimum(np.floor((y - b.lower) / (2.0 * h)), TABLE_INTERVALS // 2).astype(np.intp)
+        t_e = nodes[2 * e]
+        table, at = cdf_table(model.take(rows).marginals[dim], b,
+                              np.stack([0.5 * (t_e + y), y], axis=-1))
+        table = np.broadcast_to(table, (len(y), TABLE_INTERVALS + 1))
+        panels = h / 3.0 * (table[:, :-2:2] + 4.0 * table[:, 1::2] + table[:, 2::2])
+        above = np.zeros((len(y), TABLE_INTERVALS // 2 + 1))  # above[:, k]: int F from node 2k to U
+        np.cumsum(panels[:, ::-1], axis=-1, out=above[:, -2::-1])
+        end = (y - t_e) / 6.0 * (table[np.arange(len(y)), 2 * e] + 4.0 * at[:, 0] + at[:, 1])
+        tail = above[np.arange(len(y)), e] - end
+        out[rows] = simpson(table * table, h) - 2.0 * tail + (b.upper - y)
     return float(np.mean(out))
 
 
@@ -133,7 +140,9 @@ def pit_values(fc: Forecaster, targets, features=None):
 def _pit_values(model, targets):
     out = np.empty(targets.shape)
     for rows in row_blocks(len(targets)):
-        out[rows] = marginal_cdf_values(model.take(rows), targets[rows])
+        block = model.take(rows)
+        for d, (m, b) in enumerate(zip(block.marginals, block.bounds)):
+            out[rows, d] = normalized_cdf(m, targets[rows, d], b)
     return out
 
 

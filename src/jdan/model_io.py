@@ -10,6 +10,7 @@ block older documents carry, are ignored.
 """
 
 import json
+import numbers
 
 import numpy as np
 
@@ -29,16 +30,23 @@ def _arch_to_dict(arch: ArchitectureDescriptor):
     }
 
 
+def _integer(value, what):
+    """A count from the document; a fraction or a bool would be truncated, so it is refused."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ConfigError(f"model document {what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _arch_from_doc(doc):
     a = doc.get("architecture")
     if a is None:
         raise ConfigError("model document lacks an architecture section")
     return ArchitectureDescriptor(
-        dim=int(doc["dim"]),
+        dim=_integer(doc["dim"], "dim"),
         bounds=[(b["lower"], b["upper"]) for b in doc["bounds"]],
         marginal_hidden=a["marginal_hidden"],
         activations=a["activations"],
-        feature_dim=int(a.get("feature_dim", 0)),
+        feature_dim=_integer(a.get("feature_dim", 0), "architecture.feature_dim"),
         hypernet_hidden=a.get("hypernet_hidden"),
     )
 
@@ -103,8 +111,8 @@ def doc_to_forecaster(doc) -> Forecaster:
         if c is None:
             raise ConfigError("conditional model document lacks a conditioning section")
         net = ConditioningNet(
-            input_dim=int(c["input_dim"]),
-            layer_sizes=[int(s) for s in c["layer_sizes"]],
+            input_dim=_integer(c["input_dim"], "conditioning.input_dim"),
+            layer_sizes=[_integer(s, "conditioning.layer_sizes entry") for s in c["layer_sizes"]],
             weights=[np.asarray(w, dtype=np.float64) for w in c["weights"]],
             biases=[np.asarray(b, dtype=np.float64) for b in c["biases"]],
             activation=c.get("activation", "sigmoid"),
@@ -124,7 +132,7 @@ def doc_to_forecaster(doc) -> Forecaster:
 
     marginals = [
         MarginalNetParams(
-            layer_sizes=[int(s) for s in m["layer_sizes"]],
+            layer_sizes=[_integer(s, "marginal layer_sizes entry") for s in m["layer_sizes"]],
             raw_weights=[np.asarray(w, dtype=np.float64) for w in m["raw_weights"]],
             biases=[np.asarray(b, dtype=np.float64) for b in m["biases"]],
             activation=m.get("activation", "sigmoid"),

@@ -3,8 +3,11 @@
 The metrics score every row in one pass over a per-row parameter block.
 The reference below is the per-row path they replaced: one model per row
 from ``fc.model_for(x)``, scalar ``joint_pdf``/``normalized_cdf`` calls and
-two ``composite_simpson`` integrals per CRPS observation. Both evaluate the
-same arithmetic, so they agree to rounding: 1e-12 relative.
+``composite_simpson`` integrals for each CRPS observation's split. Both
+evaluate the same arithmetic, so they agree to rounding: 1e-12 relative.
+
+The CRPS split itself is checked against the rule it replaced, Simpson on
+each side of the observation, to the two rules' quadrature error.
 """
 
 import json
@@ -19,7 +22,7 @@ from jdan.copula import joint_pdf, sample
 from jdan.data import load_csv
 from jdan.errors import ContractError
 from jdan.hypernet import ArchitectureDescriptor, Forecaster, flatten, initialize_net, materialize
-from jdan.marginal import normalized_cdf
+from jdan.marginal import TABLE_INTERVALS, normalized_cdf, table_nodes
 from jdan.model_io import load_model, load_spec_from_doc
 from jdan.numerics import composite_simpson
 from jdan.training import LOG_EPS
@@ -51,9 +54,34 @@ def ref_pit(fc, targets, features):
     return np.array(out)
 
 
-def ref_crps(fc, targets, dim, features):
+def table_crps_rows(fc, targets, dim, features):
+    """Per row, int_L^U F^2 - 2 (int_te^U F - int_te^y F) + (U - y), te the last even
+    table node at or below y: the rule ``crps_marginal`` evaluates from its CDF table."""
     rows = features if fc.conditional else [None] * len(targets)
-    half = metrics.CRPS_INTERVALS // 2
+    b = fc.arch.bounds[dim]
+    h = b.width / TABLE_INTERVALS
+    out = []
+    for x, y in zip(rows, targets):
+        params = fc.model_for(x).marginals[dim]
+        cdf = lambda t: normalized_cdf(params, t, b)  # noqa: E731
+        yd = float(y[dim])
+        e = min(int(np.floor((yd - b.lower) / (2.0 * h))), TABLE_INTERVALS // 2)
+        te = table_nodes(b)[2 * e]
+        whole = composite_simpson(lambda t: cdf(t) ** 2, b.lower, b.upper, TABLE_INTERVALS)
+        above = composite_simpson(cdf, te, b.upper, TABLE_INTERVALS - 2 * e)
+        end = composite_simpson(cdf, te, yd, 2)
+        out.append(whole - 2.0 * (above - end) + (b.upper - yd))
+    return np.array(out)
+
+
+def ref_crps(fc, targets, dim, features):
+    return float(np.mean(table_crps_rows(fc, targets, dim, features)))
+
+
+def simpson_crps_rows(fc, targets, dim, features, half=128):
+    """Per row, Simpson with `half` subintervals on each side of the observation:
+    the CRPS rule before the table, kept as the accuracy oracle."""
+    rows = features if fc.conditional else [None] * len(targets)
     b = fc.arch.bounds[dim]
     out = []
     for x, y in zip(rows, targets):
@@ -64,7 +92,7 @@ def ref_crps(fc, targets, dim, features):
         above = composite_simpson(lambda t: (normalized_cdf(params, t, b) - 1.0) ** 2,
                                   yd, b.upper, half)
         out.append(below + above)
-    return float(np.mean(out))
+    return np.array(out)
 
 
 def ref_energy(fc, targets, features, m_samples, seed):
@@ -161,6 +189,49 @@ def test_metrics_match_per_row_reference(conditional, dim, activation):
     assert_matches_reference(fc, targets, features)
 
 
+# Both CRPS rules are composite Simpson with panels at most 2h = (U - L) / 64
+# wide: the table's on [L, U], the oracle's on [L, y] and [y, U]. On a smooth
+# integrand g Simpson errs by at most (U - L) h^4 max|g^(4)| / 180; the
+# integrands are F^2 and 2F (table) or F^2 and (1 - F)^2 (oracle). For these
+# models max|g^(4)|, taken by fourth differences on 4096 intervals, puts that
+# term below 2.5e-8 (sigmoid), 2.4e-7 (tanh) and 1.9e-6 (exp); linear
+# marginals have a quadratic F^2, which Simpson integrates exactly. A ReLU unit
+# that switches on inside [L, U] puts a kink in F; a panel straddling it errs
+# by up to J h^2 / 6 for the jump J <= 2 |jump of f| in g', at most 6.5e-5 here,
+# and each of the 5 hidden units can switch once. Either rule is within its
+# term of the true CRPS, so the two agree to twice that.
+SIMPSON_ERROR = {"sigmoid": 2.5e-8, "tanh": 2.4e-7, "exp": 1.9e-6, "linear": 1e-14,
+                 "relu": 5 * 6.5e-5}
+
+
+@pytest.mark.parametrize("activation", ACTIVATIONS)
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("conditional", [True, False], ids=["conditional", "unconditional"])
+def test_crps_split_matches_per_side_simpson_oracle(conditional, dim, activation):
+    fc = make_forecaster(conditional, dim, activation)
+    targets, features = make_rows(fc, 30)
+    clamped = np.clip(targets, [b.lower for b in fc.arch.bounds],
+                      [b.upper for b in fc.arch.bounds])
+    for d in range(dim):
+        table = table_crps_rows(fc, clamped, d, features)
+        oracle = simpson_crps_rows(fc, clamped, d, features)
+        assert np.max(np.abs(table - oracle)) <= 2.0 * SIMPSON_ERROR[activation]
+
+
+@pytest.mark.parametrize("name", ["uniform_d2", "conditional_d2"])
+def test_bundled_crps_is_within_1e_9_of_fine_simpson(name):
+    # 8192 subintervals a side make the oracle exact to ~1e-16 on these smooth
+    # marginals; over all 2000 rows the table rule stayed within 1.1e-10 of it
+    fc, doc = load_model(os.path.join(ROOT, "runs", f"{name}_model.json"))
+    ds = load_csv(os.path.join(ROOT, "data", f"{name}.csv"), load_spec_from_doc(doc))
+    rows = slice(0, 40)
+    features = ds.features[rows] if fc.conditional else None
+    for d in range(2):
+        table = table_crps_rows(fc, ds.targets[rows], d, features)
+        fine = simpson_crps_rows(fc, ds.targets[rows], d, features, half=8192)
+        assert np.max(np.abs(table - fine)) <= 1e-9
+
+
 @pytest.mark.parametrize("activation", ACTIVATIONS)
 @pytest.mark.parametrize("dim", [2, 3])
 def test_batched_joint_pdf_matches_per_row_models(dim, activation):
@@ -172,9 +243,10 @@ def test_batched_joint_pdf_matches_per_row_models(dim, activation):
 
 
 # BLOCK_POINTS values that put the 41 rows below in one block, one block plus
-# one row (log score and PIT: 40 rows; CRPS: 40 rows of 258 nodes), and many
-# blocks (5 rows, or one row per block)
-@pytest.mark.parametrize("block_points", [16384, 40, 40 * 258, 5])
+# one row (log score and PIT: 40 rows; CRPS: 40 rows of 131 points, as 40 * 258
+# did for the per-side rule before the CRPS table), and many blocks (5 rows, or
+# one row per block)
+@pytest.mark.parametrize("block_points", [16384, 40, 40 * 258, 40 * 131, 5])
 @pytest.mark.parametrize("n_rows", [1, 41])
 @pytest.mark.parametrize("conditional", [True, False], ids=["conditional", "unconditional"])
 def test_chunk_boundaries(monkeypatch, conditional, n_rows, block_points):

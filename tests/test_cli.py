@@ -512,6 +512,7 @@ def test_verify_full_passes_on_bundled_models(name, features, capsys):
 
 
 # `verify --level full` stdout on the committed models, captured before the battery was batched
+# (the round-trip maxima since inversion starts from the CDF table)
 PINNED_VERIFY = {"uniform_d2": [], "conditional_d2": ["--features", "0.2"]}
 PINNED_VERIFY_OUT = {
     "uniform_d2": (
@@ -522,7 +523,7 @@ PINNED_VERIFY_OUT = {
         'pass  pdf nonnegative  (min 9.251e-01)\n'
         'pass  cdf monotone on random pairs  (min diff 1.562e-03)\n'
         'pass  margins reproduce marginal cdf  (max 0.000e+00)\n'
-        'pass  quantile/cdf round trip  (max 4.281e-13)\n'
+        'pass  quantile/cdf round trip  (max 8.349e-14)\n'
         'pass  density matches FD mixed partial  (max rel 6.282e-08)\n'
         'pass  density integrates to 1 (simpson)  (1.000000)\n'
         'verify: all 10 checks passed\n'
@@ -535,7 +536,7 @@ PINNED_VERIFY_OUT = {
         'pass  pdf nonnegative  (min 7.535e-01)\n'
         'pass  cdf monotone on random pairs  (min diff 1.822e-03)\n'
         'pass  margins reproduce marginal cdf  (max 0.000e+00)\n'
-        'pass  quantile/cdf round trip  (max 7.722e-11)\n'
+        'pass  quantile/cdf round trip  (max 5.118e-13)\n'
         'pass  density matches FD mixed partial  (max rel 1.359e-07)\n'
         'pass  density integrates to 1 (simpson)  (1.000000)\n'
         'verify: all 10 checks passed\n'
@@ -665,6 +666,26 @@ def test_non_finite_conditional_documents(tmp_path):
     assert main(["verify", "--model", model, "--features", "0.2", "--quiet"]) == 3
     assert main(["evaluate", "--model", model, "--data", str(rows), "--no-energy",
                  "--quiet", "--out", str(tmp_path / "r.json")]) == 3
+
+
+@pytest.mark.parametrize("name, field, edit", [
+    ("uniform_d2", "dim", lambda doc: doc.update(dim=2.5)),
+    ("conditional_d2", "architecture.feature_dim",
+     lambda doc: doc["architecture"].update(feature_dim=1.5)),
+    ("conditional_d2", "conditioning.input_dim",
+     lambda doc: doc["conditioning"].update(input_dim=1.5)),
+    ("conditional_d2", "conditioning.layer_sizes entry",
+     lambda doc: doc["conditioning"]["layer_sizes"].__setitem__(1, 32.5)),
+], ids=["dim", "feature_dim", "input_dim", "layer_sizes"])
+def test_non_integral_model_document_counts_exit_2(name, field, edit, tmp_path, capsys):
+    # int() would truncate these and go on with a different model
+    model = _edited_doc(os.path.join(RUNS, f"{name}_model.json"), tmp_path / "m.json", edit)
+    out = tmp_path / "s.csv"
+    features = ["--features", "0.2"] if name == "conditional_d2" else []
+    assert main(["sample", "--model", model, "-n", "5", "--seed", "0", *features,
+                 "--quiet", "--out", str(out)]) == 2
+    assert f"model document {field} must be an integer" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_evaluate_feature_count_mismatch_exits_2(tmp_path, capsys):

@@ -210,21 +210,52 @@ def test_log_score_excludes_out_of_bounds_rows():
 def test_crps_uniform_hand_values():
     # uniform forecast on [0,1]: CRPS(y) = int_0^y t^2 + int_y^1 (t-1)^2
     #                                    = (y^3 + (1-y)^3) / 3
+    # F is linear, so Simpson integrates F^2 and F exactly: only rounding is left
     fc = uniform_forecaster()
     at_half = crps_marginal(fc, np.array([[0.5, 0.5]]), 0)
-    assert at_half == pytest.approx(1.0 / 12.0, abs=1e-6)
+    assert at_half == pytest.approx(1.0 / 12.0, abs=1e-12)
     at_zero = crps_marginal(fc, np.array([[0.0, 0.5]]), 0)
-    assert at_zero == pytest.approx(1.0 / 3.0, abs=1e-6)
+    assert at_zero == pytest.approx(1.0 / 3.0, abs=1e-12)
     at_quarter = crps_marginal(fc, np.array([[0.25, 0.5]]), 0)
     want = (0.25**3 + 0.75**3) / 3.0
-    assert at_quarter == pytest.approx(want, abs=1e-6)
+    assert at_quarter == pytest.approx(want, abs=1e-12)
 
 
 def test_crps_mean_over_rows():
     fc = uniform_forecaster()
     y = np.array([[0.5, 0.5], [0.0, 0.5]])
     got = crps_marginal(fc, y, 0)
-    assert got == pytest.approx((1 / 12 + 1 / 3) / 2, abs=1e-6)
+    assert got == pytest.approx((1 / 12 + 1 / 3) / 2, abs=1e-12)
+
+
+def test_crps_hands_at_most_131_points_per_row_to_the_net(monkeypatch):
+    # one pass per row over the 129-node table plus y and one midpoint; the
+    # per-side rule it replaced evaluated 2 x 129 points
+    from jdan import marginal
+
+    points = []
+    psi = marginal._psi
+    monkeypatch.setattr(marginal, "_psi",
+                        lambda *a, **kw: points.append(np.size(a[2])) or psi(*a, **kw))
+    rng = np.random.default_rng(7)
+    for fc, features in ((random_forecaster(feature_dim=2), rng.normal(size=(50, 2))),
+                         (random_forecaster(), None)):
+        for d in range(2):
+            points.clear()
+            crps_marginal(fc, rng.random((50, 2)), d, features)
+            assert 0 < sum(points) <= 131 * 50
+
+
+@pytest.mark.parametrize("conditional", [False, True], ids=["unconditional", "conditional"])
+@pytest.mark.parametrize("metric", [
+    lambda fc, y, x: crps_marginal(fc, y, 0, x),
+    lambda fc, y, x: energy_score(fc, y, x),
+], ids=["crps", "energy"])
+def test_metrics_on_zero_rows_raise(metric, conditional):
+    # not a NaN mean of nothing, as log_score already refuses
+    fc = random_forecaster(feature_dim=2) if conditional else uniform_forecaster()
+    with pytest.raises(ContractError, match="no rows to score"):
+        metric(fc, np.empty((0, 2)), np.empty((0, 2)) if conditional else None)
 
 
 def test_pit_values_uniform_model_identity():

@@ -19,6 +19,8 @@ from jdan.hypernet import ArchitectureDescriptor, materialize
 from jdan.marginal import (
     INVERT_MAX_ITERS,
     INVERT_TOL,
+    TABLE_INTERVALS,
+    cdf_table,
     inverse_cdf,
     normalized_cdf,
     normalized_pdf,
@@ -86,17 +88,19 @@ def test_newton_agrees_with_bisection_oracle(activation, rows, hidden):
 
 
 def test_newton_needs_few_passes(monkeypatch):
-    # bisection spends ~33 CDF evaluations per call; Newton a handful of passes
+    # bisection spends ~33 CDF evaluations per call; Newton started at the table's
+    # secant point needs two or three passes (four or five from L + p (U - L))
     model = make_model("sigmoid", (8,), None, seed=3)
     passes = []
     psi = marginal._psi
-    monkeypatch.setattr(marginal, "_psi", lambda *a: passes.append(len(a[2])) or psi(*a))
+    monkeypatch.setattr(marginal, "_psi",
+                        lambda *a, **kw: passes.append(len(a[2])) or psi(*a, **kw))
     p = np.random.default_rng(2).random(4096)
     for m, b in zip(model.marginals, model.bounds):
         passes.clear()
         inverse_cdf(m, p, b)
-        assert passes[0] == 2  # psi(L) and psi(U), once per call
-        assert len(passes) <= 8
+        assert passes[0] == TABLE_INTERVALS + 1  # the table, with psi(L) and psi(U), once per call
+        assert len(passes) <= 4
 
 
 @pytest.mark.parametrize("hidden", [(8,), (4, 4)], ids=["h8", "h4x4"])
@@ -112,3 +116,24 @@ def test_shared_block_is_bitwise_one_point_calls(activation, hidden):
             for f, x in ((normalized_cdf, y), (normalized_pdf, y), (inverse_cdf, p)):
                 block = f(m, x, b)
                 np.testing.assert_array_equal(block, [f(m, v, b) for v in x])
+
+
+@pytest.mark.parametrize("hidden", [(8,), (4, 4)], ids=["h8", "h4x4"])
+@pytest.mark.parametrize("activation", ACTIVATIONS)
+def test_block_rows_are_bitwise_one_row_shared_sets(activation, hidden):
+    # the table and Newton's passes sum every layer in a fixed order, so row i of a
+    # block inverts exactly as the shared set made of row i's parameters alone
+    arch = ArchitectureDescriptor(dim=2, bounds=BOUNDS, marginal_hidden=[list(hidden)] * 2,
+                                  activations=[activation] * 2)
+    rng = np.random.default_rng(9)
+    raw = rng.normal(0.0, SCALE.get(activation, 1.0), size=(6, arch.param_count()))
+    block = materialize(raw, arch)
+    p = rng.random((6, 40))
+    for d, b in enumerate(block.bounds):
+        quantiles = inverse_cdf(block.marginals[d], p, b)
+        table, at = cdf_table(block.marginals[d], b, quantiles)
+        for i in range(len(raw)):
+            alone = materialize(raw[i], arch).marginals[d]
+            np.testing.assert_array_equal(quantiles[i], inverse_cdf(alone, p[i], b))
+            np.testing.assert_array_equal(table[i], cdf_table(alone, b)[0])
+            np.testing.assert_array_equal(at[i], cdf_table(alone, b, quantiles[i])[1])
