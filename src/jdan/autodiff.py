@@ -148,14 +148,14 @@ def affine(a, w, b=None):
     (n, out) to match; a is (m, in) or (n, k, in), and broadcasts the numpy
     matmul way. Without b there is no bias term.
 
-    Plain shared weights over plain points a (m, in) go through
-    ``ordered_affine``, so a row's value does not depend on the other rows in
-    the call as a BLAS product's does. Per-row weights and tape nodes take
-    the matmul.
+    Plain arguments go through ``ordered_affine``, so each output depends
+    only on its point and its row's parameters, never on the other points or
+    rows in the call as a BLAS product's does. Tape nodes take the matmul.
     """
-    if w.ndim == 2 and not isinstance(w, Tensor) and not isinstance(a, Tensor):
-        out = ordered_affine(np.ascontiguousarray(a.T), w).T
-        return out if b is None else out + b
+    if not any(isinstance(x, Tensor) for x in (a, w, b)):
+        at = a.T if a.ndim == 2 else a.transpose(2, 0, 1)  # one plane per input unit
+        out = ordered_affine(np.ascontiguousarray(at), w, b)
+        return out.T if out.ndim == 2 else out.transpose(1, 2, 0)
     av, wv = value(a), value(w)
     out = av @ np.swapaxes(wv, -1, -2)
     edges = [(a, lambda g: _unbroadcast(g @ wv, np.shape(av))),
@@ -170,8 +170,8 @@ def affine(a, w, b=None):
 def ordered_affine(at, w, b=None):
     """One plain layer with the points on the last axes: at (in, ...) -> (out, ...).
 
-    w (out, in) is shared by points at[j] of any shape; per-row w
-    (n, out, in) and b (n, out) take points at[j] of shape (n, k). Every
+    w (out, in) is shared by points at[j] of shape (m,); per-row w
+    (n, out, in) and b (n, out) take points at[j] of shape (n, k) or (k,). Every
     output sums its inputs in order j = 0, 1, ... and then adds b, so each
     point's value depends on nothing but that point and its row's
     parameters, and a one-row shared set gives the bits of its row in a block.

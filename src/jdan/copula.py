@@ -36,7 +36,7 @@ from .marginal import inverse_cdf, normalize, normalized_cdf
 
 MAX_DIM = 12  # pairs grow quadratically; desk-scale cap
 # points per block wherever a batched call meets many points (read at call time): small
-# arrays reuse their memory and keep BLAS on one thread, whose count then changes no bits
+# arrays reuse their memory
 BLOCK_POINTS = 4096
 
 

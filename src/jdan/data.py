@@ -50,9 +50,6 @@ class ColumnScaler:
     def transform(self, x):
         return (np.asarray(x, dtype=np.float64) - self.shift) / self.scale
 
-    def inverse(self, z):
-        return np.asarray(z, dtype=np.float64) * self.scale + self.shift
-
 
 @dataclass
 class LoadSpec:

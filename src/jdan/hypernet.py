@@ -260,8 +260,8 @@ class Forecaster:
         if x is None:
             raise ContractError("a conditional model needs a feature vector")
         x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-        if x.ndim > 2:
-            raise ContractError("features must be a vector or a (rows, features) block")
+        if x.ndim > 2 or not len(x):
+            raise ContractError("features must be a vector or a block of at least one row")
         if x.shape[-1] != self.net.input_dim:  # checked before the scaler can broadcast
             raise ContractError(f"expected {self.net.input_dim} features, got {x.shape[-1]}")
         if self.feature_scaler is not None:

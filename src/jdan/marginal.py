@@ -128,28 +128,21 @@ def _as_column(params, y):
     return y.reshape(params.rows, -1, 1), y.shape
 
 
-def _psi(params, weights, a, deriv, ordered=False):
+def _psi(params, weights, a, deriv):
     """psi at column points a and, with deriv, d psi / dy there (else None).
 
     The chain rule runs layer by layer beside the forward pass, so the
-    derivative is exact and, with positive weights, never negative.
-
-    With ordered, the parameters are plain and run on unit planes through
-    ``autodiff.ordered_affine``: a point's values then depend only on that
-    point and its row's parameters, and a one-row shared set gives the bits
-    of its row in a block. Otherwise layers go through ``autodiff.affine``,
-    which takes tape nodes and gives per-row blocks the BLAS product (the
-    committed training histories' validation losses carry its bits).
+    derivative is exact and, with positive weights, never negative. With
+    plain parameters, each value depends only on its point and its row's
+    parameters (see ``autodiff.affine``), so row i of a block gives the bits
+    of the one-row set made of row i's parameters alone.
     """
-    layer = ad.ordered_affine if ordered else ad.affine
-    if ordered:  # one plane per unit: (1, m) shared, (1, n, k) per row
-        a = np.moveaxis(a, -1, 0)
     d = np.ones(a.shape) if deriv else None
     last = len(weights) - 1
     for k, (w, b) in enumerate(zip(weights, params.biases)):
-        pre = layer(a, w, b)
+        pre = ad.affine(a, w, b)
         if deriv:
-            d = layer(d, w)
+            d = ad.affine(d, w)
         if k < last:
             a = activations.apply(params.activation, pre)
             if deriv:
@@ -158,8 +151,6 @@ def _psi(params, weights, a, deriv, ordered=False):
             a = pre  # linear output layer
         if not np.all(np.isfinite(ad.value(a))):
             raise EvaluationError(f"non-finite activation in marginal layer {k}", layer=k)
-    if ordered:
-        a, d = np.moveaxis(a, 0, -1), (None if d is None else np.moveaxis(d, 0, -1))
     return a, d
 
 
@@ -181,20 +172,6 @@ def _normalizer(lower, upper, b: Bounds):
     return lower, span
 
 
-def forward(params: MarginalNetParams, y):
-    """Raw network output psi(y). Nondecreasing in y. Accepts scalars or arrays."""
-    a, shape = _as_column(params, y)
-    out = _psi(params, params.effective_weights(), a, False)[0].reshape(shape)
-    return float(out) if out.ndim == 0 else out
-
-
-def d_forward(params: MarginalNetParams, y):
-    """Analytic d psi / d y via the layer-by-layer chain rule. Always >= 0."""
-    a, shape = _as_column(params, y)
-    out = _psi(params, params.effective_weights(), a, True)[1].reshape(shape)
-    return float(out) if out.ndim == 0 else out
-
-
 def normalize(params: MarginalNetParams, y, b: Bounds, pdf=True):
     """(F(y), f(y)) at points y inside [L, U]; f is None without pdf.
 
@@ -212,8 +189,8 @@ def normalize(params: MarginalNetParams, y, b: Bounds, pdf=True):
 
 def _pinned(cdf, y, b: Bounds):
     """cdf clipped to [0, 1], and exactly 0 at y <= L and 1 at y >= U."""
-    # per-row BLAS paths can differ from a one-point call by an ulp, so pin the
-    # endpoints explicitly and clip the drift instead of trusting x - x == 0
+    # unpinned, F is exact at the ends and within [0, 1] only while every layer
+    # rounds monotonically, which floating-point exp and tanh do not promise
     return np.where(y <= b.lower, 0.0, np.where(y >= b.upper, 1.0, np.clip(cdf, 0.0, 1.0)))
 
 
@@ -232,7 +209,7 @@ def _table(params, weights, b: Bounds, extra):
     if params.rows is not None:
         nodes = np.broadcast_to(nodes, (params.rows,) + nodes.shape)
     pts = np.concatenate([nodes, np.clip(extra, b.lower, b.upper)], axis=-2)
-    psi, _ = _psi(params, weights, pts, False, ordered=True)
+    psi, _ = _psi(params, weights, pts, False)
     lower, span = _normalizer(psi[..., :1, :], psi[..., TABLE_INTERVALS:TABLE_INTERVALS + 1, :], b)
     return lower, span, _pinned((psi - lower) / span, pts, b)
 
@@ -274,10 +251,12 @@ def inverse_cdf(params: MarginalNetParams, p, b: Bounds):
     p = 0 and p = 1 give the exact bounds. One pass over the CDF table gives
     psi(L), psi(U) and, for each p, the adjacent nodes whose F brackets it;
     Newton starts from the secant point between them. Each step gets F and f
-    from one pass; a point bisects its bracket when the Newton point is not
-    finite, leaves the bracket or fails to halve the step before last. Stops
-    once |F(y) - p| <= 1e-10 everywhere, F as ``normalized_cdf`` gives it,
-    and reports the offending bracket if 200 steps are not enough.
+    at every point from one pass; a point bisects its bracket when the Newton
+    point is not finite, leaves the bracket or fails to halve the step before
+    last. Settled points keep their y and ride along: each value depends only
+    on its own point, so they change no other point's bits. Stops once
+    |F(y) - p| <= 1e-10 everywhere, F as ``normalized_cdf`` gives it, and
+    reports the offending bracket if 200 steps are not enough.
     """
     p_arr = np.asarray(p, dtype=np.float64)
     if np.any((p_arr < 0.0) | (p_arr > 1.0)) or not np.all(np.isfinite(p_arr)):
@@ -297,24 +276,17 @@ def inverse_cdf(params: MarginalNetParams, p, b: Bounds):
     live = (q > 0.0) & (q < 1.0)
     with np.errstate(divide="ignore", invalid="ignore"):  # f_hi > f_lo wherever p is live
         start = lo + ((flat - f_lo) / (f_hi - f_lo)).reshape(q.shape) * (hi - lo)
-    x = y = np.where(live, start, np.where(q >= 1.0, b.upper, b.lower))
+    x = np.where(live, start, np.where(q >= 1.0, b.upper, b.lower))
     step, old = hi - lo, hi - lo  # |last step| and |step before last|
-    idx = np.arange(len(q))  # leading entries (per-row: parameter rows) still searching
     for _ in range(INVERT_MAX_ITERS):
-        keep = live.reshape(len(idx), -1).any(axis=1)
-        if not keep.all():  # settle the finished entries and stop evaluating them
-            y[idx[~keep]] = x[~keep]
-            idx, x, q, live, lo, hi, step, old = (
-                v[keep] for v in (idx, x, q, live, lo, hi, step, old))
-        if not idx.size:
+        if not live.any():
             break
-        own = idx if params.rows is not None else slice(None)
-        psi, dpsi = _psi(params.take(idx), [w[own] for w in weights], x, True, ordered=True)
-        res = _pinned((psi - lower[own]) / span[own], x, b) - q
+        psi, dpsi = _psi(params, weights, x, True)
+        res = _pinned((psi - lower) / span, x, b) - q
         live &= np.abs(res) > INVERT_TOL
         lo, hi = np.where(res > 0.0, lo, x), np.where(res > 0.0, x, hi)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            dx = res * span[own] / dpsi  # (F - p) / f; a NaN or infinite dx fails `ok`
+            dx = res * span / dpsi  # (F - p) / f; a NaN or infinite dx fails `ok`
             newton = x - dx
         half = 0.5 * (hi - lo)
         ok = (newton > lo) & (newton < hi) & (2.0 * np.abs(dx) <= old)
@@ -323,6 +295,5 @@ def inverse_cdf(params: MarginalNetParams, p, b: Bounds):
     if np.any(live):
         raise InversionError(f"quantile inversion did not converge for p={q[live][0]:.6g}",
                              bracket=(float(lo[live][0]), float(hi[live][0])))
-    y[idx] = x
-    out = y.reshape(shape)
+    out = x.reshape(shape)
     return float(out) if out.ndim == 0 else out

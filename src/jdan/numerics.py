@@ -36,11 +36,6 @@ def composite_simpson(f, a, b, n):
     return simpson(f(np.linspace(a, b, n + 1)), (b - a) / n)
 
 
-def central_fd(f, x, h):
-    """Central finite difference of a scalar function of a scalar."""
-    return (f(x + h) - f(x - h)) / (2.0 * h)
-
-
 def ks_statistic(u):
     """Kolmogorov-Smirnov distance of a sample to Uniform(0, 1)."""
     u = np.sort(np.asarray(u, dtype=np.float64))

@@ -38,6 +38,11 @@ def random_model(rng, dim, hidden=(8,), scale=1.0, activation="sigmoid", bounds=
     return materialize(raw, arch), arch
 
 
+def central_fd(f, x, h):
+    """Central finite difference of a scalar function of a scalar."""
+    return (f(x + h) - f(x - h)) / (2.0 * h)
+
+
 def interior_points(rng, model, n, margin=0.05):
     """Points inside the box, at least margin*width from each face."""
     lo = model.box_lower()

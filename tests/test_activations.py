@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from jdan.activations import KINDS, act_d1, act_d2, act_eval
 from jdan.errors import ContractError, DomainError
-from jdan.numerics import central_fd, sigmoid
+from jdan.numerics import sigmoid
+
+from conftest import central_fd
 
 finite_x = st.floats(-10.0, 10.0, allow_nan=False)
 

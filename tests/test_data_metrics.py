@@ -57,7 +57,6 @@ def test_scaler_fit_transform_roundtrip():
     z = sc.transform(x)
     np.testing.assert_allclose(z.mean(axis=0), 0.0, atol=1e-12)
     np.testing.assert_allclose(z.std(axis=0), 1.0, atol=1e-12)
-    np.testing.assert_allclose(sc.inverse(z), x, atol=1e-12)
 
 
 def test_scaler_constant_column_passes_through():

@@ -148,6 +148,13 @@ def test_committed_model_documents_still_load(folder):
         assert flatten(fc.model_for(x)).shape == (fc.arch.param_count(),)
 
 
+def test_empty_feature_block_is_a_contract_error():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    fc, _ = load_model(os.path.join(root, "runs", "conditional_d2_model.json"))
+    with pytest.raises(ContractError, match="at least one row"):
+        fc.model_for(np.empty((0, fc.net.input_dim)))
+
+
 def test_initialize_unconditional_deterministic():
     arch = unit_arch(dim=2)
     a = initialize_net(arch, seed=7)

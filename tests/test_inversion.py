@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from jdan import marginal
+from jdan.copula import joint_pdf
 from jdan.errors import InversionError
 from jdan.hypernet import ArchitectureDescriptor, materialize
 from jdan.marginal import (
@@ -121,19 +122,38 @@ def test_shared_block_is_bitwise_one_point_calls(activation, hidden):
 @pytest.mark.parametrize("hidden", [(8,), (4, 4)], ids=["h8", "h4x4"])
 @pytest.mark.parametrize("activation", ACTIVATIONS)
 def test_block_rows_are_bitwise_one_row_shared_sets(activation, hidden):
-    # the table and Newton's passes sum every layer in a fixed order, so row i of a
-    # block inverts exactly as the shared set made of row i's parameters alone
+    # every plain pass sums each layer in a fixed order, so row i of a block evaluates
+    # and inverts exactly as the shared set made of row i's parameters alone
     arch = ArchitectureDescriptor(dim=2, bounds=BOUNDS, marginal_hidden=[list(hidden)] * 2,
                                   activations=[activation] * 2)
     rng = np.random.default_rng(9)
     raw = rng.normal(0.0, SCALE.get(activation, 1.0), size=(6, arch.param_count()))
     block = materialize(raw, arch)
+    alone = [materialize(r, arch) for r in raw]
     p = rng.random((6, 40))
     for d, b in enumerate(block.bounds):
         quantiles = inverse_cdf(block.marginals[d], p, b)
         table, at = cdf_table(block.marginals[d], b, quantiles)
-        for i in range(len(raw)):
-            alone = materialize(raw[i], arch).marginals[d]
-            np.testing.assert_array_equal(quantiles[i], inverse_cdf(alone, p[i], b))
-            np.testing.assert_array_equal(table[i], cdf_table(alone, b)[0])
-            np.testing.assert_array_equal(at[i], cdf_table(alone, b, quantiles[i])[1])
+        y = rng.uniform(b.lower, b.upper, (6, 40))
+        cdf, pdf = normalized_cdf(block.marginals[d], y, b), normalized_pdf(block.marginals[d], y, b)
+        for i, one in enumerate(alone):
+            m = one.marginals[d]
+            np.testing.assert_array_equal(quantiles[i], inverse_cdf(m, p[i], b))
+            np.testing.assert_array_equal(table[i], cdf_table(m, b)[0])
+            np.testing.assert_array_equal(at[i], cdf_table(m, b, quantiles[i])[1])
+            np.testing.assert_array_equal(cdf[i], normalized_cdf(m, y[i], b))
+            np.testing.assert_array_equal(pdf[i], normalized_pdf(m, y[i], b))
+    pts = np.column_stack([rng.uniform(lo, hi, len(raw)) for lo, hi in BOUNDS])
+    dens = joint_pdf(block, pts)
+    for i, one in enumerate(alone):
+        np.testing.assert_array_equal(dens[i], joint_pdf(one, pts[i]))
+
+
+@pytest.mark.parametrize("rows", [None, 3], ids=["shared", "per_row"])
+def test_empty_points_give_empty_arrays(rows):
+    model = make_model("sigmoid", (8,), rows, seed=4)
+    empty = np.empty((0,) if rows is None else (rows, 0))
+    for m, b in zip(model.marginals, model.bounds):
+        for f in (inverse_cdf, normalized_cdf, normalized_pdf):
+            out = f(m, empty, b)
+            assert isinstance(out, np.ndarray) and out.shape == empty.shape

@@ -14,16 +14,25 @@ from jdan.errors import (
 from jdan.marginal import (
     Bounds,
     MarginalNetParams,
-    d_forward,
-    forward,
+    _psi,
     inverse_cdf,
     normalized_cdf,
     normalized_pdf,
     positivity_map,
 )
-from jdan.numerics import central_fd, composite_simpson
+from jdan.numerics import composite_simpson
+
+from conftest import central_fd
 
 UNIT = Bounds(0.0, 1.0)
+
+
+def forward(params, y, deriv=False):
+    """Raw network output psi(y), or with deriv d psi / dy, shaped like y."""
+    y = np.asarray(y, dtype=np.float64)
+    psi, dpsi = _psi(params, params.effective_weights(), y.reshape(-1, 1), deriv)
+    out = (dpsi if deriv else psi).reshape(y.shape)
+    return float(out) if out.ndim == 0 else out
 
 
 def tiny_net(raw=0.0, activation="sigmoid"):
@@ -66,8 +75,8 @@ def test_forward_hand_value_zero_raw():
     w = positivity_map(0.0)
     assert forward(net, 0.0) == pytest.approx(0.5 * w, rel=1e-12)
     assert forward(net, 0.0) == pytest.approx(0.3465736, abs=1e-5)
-    assert d_forward(net, 0.0) == pytest.approx(0.25 * w * w, rel=1e-12)
-    assert d_forward(net, 0.0) == pytest.approx(0.1201123, abs=1e-5)
+    assert forward(net, 0.0, deriv=True) == pytest.approx(0.25 * w * w, rel=1e-12)
+    assert forward(net, 0.0, deriv=True) == pytest.approx(0.1201123, abs=1e-5)
 
 
 def test_linear_net_is_affine_increasing():
@@ -76,7 +85,7 @@ def test_linear_net_is_affine_increasing():
     ys = np.linspace(-2, 2, 9)
     np.testing.assert_allclose(forward(net, ys), w * w * ys, rtol=1e-12, atol=1e-12)
     assert np.all(np.diff(forward(net, ys)) > 0)
-    np.testing.assert_allclose(d_forward(net, ys), w * w, rtol=1e-12)
+    np.testing.assert_allclose(forward(net, ys, deriv=True), w * w, rtol=1e-12)
 
 
 @pytest.mark.parametrize("activation", ["sigmoid", "tanh", "relu", "linear"])
@@ -95,7 +104,7 @@ def test_d_forward_matches_fd():
         net = random_net(rng)
         y = float(rng.uniform(-2, 2))
         fd = central_fd(lambda t: forward(net, t), y, 1e-5)
-        an = d_forward(net, y)
+        an = forward(net, y, deriv=True)
         assert abs(an - fd) <= 1e-5 * (1 + abs(an))
 
 
