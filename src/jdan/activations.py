@@ -6,9 +6,9 @@ makes positive-weighted networks monotone. Only "exp" has nonnegative
 derivatives of every order; it is offered for completeness but kept out
 of default training setups because it explodes or vanishes easily.
 
-``apply`` and ``slope`` take ndarrays or tape nodes alike (see
+``apply``, ``slope`` and ``curvature`` take ndarrays or tape nodes alike (see
 ``autodiff``), so the networks in ``marginal`` and ``hypernet`` run the same
-code for evaluation and for training.
+code for evaluation and for training, and ``miso`` uses the same table.
 """
 
 import numpy as np
@@ -18,14 +18,16 @@ from .errors import ContractError, DomainError
 
 KINDS = ("sigmoid", "tanh", "linear", "relu", "exp")
 
-# kind -> (z(x), z'(x) given x and z); slopes reuse the value where they can.
-# ReLU uses the subgradient 0 at x = 0, which keeps z' deterministic and >= 0.
+# kind -> (z(x), z'(x) given x and z, z''(x) given x and z); the derivatives
+# reuse the value where they can. ReLU uses the subgradient 0 at x = 0, which
+# keeps z' deterministic and >= 0.
 _TABLE = {
-    "sigmoid": (ad.sigmoid, lambda x, z: z * (1.0 - z)),
-    "tanh": (ad.tanh, lambda x, z: 1.0 - z * z),
-    "linear": (lambda x: x, lambda x, z: 1.0),
-    "relu": (ad.relu, lambda x, z: ad.step(x)),
-    "exp": (ad.exp, lambda x, z: z),
+    "sigmoid": (ad.sigmoid, lambda x, z: z * (1.0 - z),
+                lambda x, z: z * (1.0 - z) * (1.0 - 2.0 * z)),
+    "tanh": (ad.tanh, lambda x, z: 1.0 - z * z, lambda x, z: -2.0 * z * (1.0 - z * z)),
+    "linear": (lambda x: x, lambda x, z: 1.0, lambda x, z: 0.0),
+    "relu": (ad.relu, lambda x, z: ad.step(x), lambda x, z: 0.0),
+    "exp": (ad.exp, lambda x, z: z, lambda x, z: z),
 }
 
 
@@ -43,25 +45,8 @@ def slope(kind, x, z):
     return _TABLE[kind][1](x, z)
 
 
-def _out(x, out):
-    out = np.array(np.broadcast_to(out, x.shape))  # a fresh array, never x itself
-    return out if out.ndim else float(out)
-
-
-def act_eval(kind, x):
-    """Evaluate the activation z(x)."""
-    x = np.asarray(x, dtype=np.float64)
-    return _out(x, apply(kind, x))
-
-
-def act_d1(kind, x):
-    """First derivative z'(x). Nonnegative for every kind."""
-    x = np.asarray(x, dtype=np.float64)
-    return _out(x, slope(kind, x, apply(kind, x)))
-
-
-def act_d2(kind, x):
-    """Second derivative z''(x). Exactly zero for linear and ReLU.
+def curvature(kind, x, z):
+    """z''(x), given z = apply(kind, x); 0.0 stands for all zeros (linear, relu).
 
     For sigmoid the sign equals the sign of (1 - 2*sigmoid(x)), so it is
     negative whenever the pre-activation is positive; tanh behaves the
@@ -69,14 +54,4 @@ def act_d2(kind, x):
     multi-input positive-weighted network cannot serve as a joint CDF
     (see the miso module).
     """
-    x = np.asarray(x, dtype=np.float64)
-    z = apply(kind, x)
-    if kind == "sigmoid":
-        out = z * (1.0 - z) * (1.0 - 2.0 * z)
-    elif kind == "tanh":
-        out = -2.0 * z * (1.0 - z * z)
-    elif kind in ("linear", "relu"):
-        out = 0.0
-    else:
-        out = z
-    return _out(x, out)
+    return _TABLE[kind][2](x, z)

@@ -16,6 +16,7 @@ import sys
 import numpy as np
 
 from . import model_io
+from .activations import KINDS
 from .copula import joint_cdf, joint_pdf, mixed_partial_fd, row_blocks, sample as model_sample
 from .data import ColumnScaler, LoadSpec, fit_bounds, load_csv
 from .errors import ConfigError, ContractError, DataError, JdanError
@@ -241,11 +242,15 @@ def cmd_density(args):
         raise ConfigError(
             f"{len(free)} free dimensions; fix all but at most 3 with --fix DIM=VALUE"
         )
+    size = args.grid ** len(free)
+    try:  # a MemoryError, or a ValueError when numpy refuses the shape outright
+        points = np.empty((size, model.dim))
+    except (MemoryError, ValueError):
+        raise ConfigError(f"a grid of {size} points needs {size * model.dim * 8} bytes") from None
     # cell centers, so sum(pdf) * cell volume is a honest Riemann estimate
     centers = np.arange(args.grid) + 0.5
     mesh = np.meshgrid(*[model.bounds[d].lower + model.bounds[d].width / args.grid * centers
                          for d in free], indexing="ij")
-    points = np.empty((mesh[0].size, model.dim))
     for d, v in fixed.items():
         points[:, d] = v
     for ax, d in enumerate(free):
@@ -449,8 +454,7 @@ def build_parser():
 
     p = sub.add_parser("diagnose-miso", parents=[common],
                        help="search for a negative mixed partial of a monotone net")
-    p.add_argument("--activation", default="sigmoid",
-                   choices=["sigmoid", "tanh", "linear", "relu", "exp"])
+    p.add_argument("--activation", default="sigmoid", choices=KINDS)
     p.add_argument("--dim", type=int, default=2)
     p.add_argument("--hidden", type=int, default=4)
     p.add_argument("--trials", type=int, default=10000)

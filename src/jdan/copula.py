@@ -272,7 +272,12 @@ def sample(model: JdanModel, n, seed):
         raise ContractError("a per-row model needs one seed per parameter row")
     if model.rows not in (None, len(seeds)):
         raise ContractError(f"{model.rows} parameter rows need {model.rows} seeds")
-    v = np.stack([np.random.default_rng(s).uniform(size=(n, model.dim)) for s in seeds])
+    rngs = [np.random.default_rng(s) for s in seeds]
+    try:  # a MemoryError, or a ValueError when numpy refuses the shape outright
+        v = np.stack([rng.uniform(size=(n, model.dim)) for rng in rngs])
+    except (MemoryError, ValueError):
+        raise ContractError(f"{len(seeds) * n} draws of dimension {model.dim} need "
+                            f"{len(seeds) * n * model.dim * 8} bytes for their uniforms") from None
     u = _conditional_inverse(model.correlations, v)
     if single:
         u = u[0]

@@ -22,7 +22,6 @@ import numpy as np
 
 from . import activations
 from . import autodiff as ad
-from .activations import KINDS
 from .copula import MAX_DIM, CorrelationParams, JdanModel, n_pairs, row_blocks
 from .errors import ConfigError, ContractError, EvaluationError
 from .marginal import Bounds, MarginalNetParams
@@ -64,7 +63,7 @@ class ArchitectureDescriptor:
         if not all(self.marginal_hidden):
             raise ContractError("every marginal needs a hidden layer")
         for a in self.activations:
-            if a not in KINDS:
+            if a not in activations.KINDS:
                 raise ContractError(f"unknown activation {a!r}")
         if self.feature_dim < 0:
             raise ContractError("feature_dim must be >= 0")
@@ -147,7 +146,7 @@ class ConditioningNet:
     raw: np.ndarray = None
 
     def __post_init__(self):
-        if self.activation not in KINDS:
+        if self.activation not in activations.KINDS:
             raise ContractError(f"unknown activation {self.activation!r}")
         if self.input_dim == 0:
             if self.raw is None:

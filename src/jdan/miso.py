@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .activations import KINDS, act_d1, act_d2, act_eval
+from .activations import KINDS, apply, curvature, slope
 from .errors import ContractError, DomainError
 from .marginal import positivity_map
 
@@ -53,39 +53,6 @@ class MisoNetParams:
         return self.layer_sizes[0]
 
 
-def miso_forward(params: MisoNetParams, y):
-    """Forward pass; accepts one point (D,) or a batch (n, D)."""
-    y = np.asarray(y, dtype=np.float64)
-    scalar = y.ndim == 1
-    a = np.atleast_2d(y)
-    if a.shape[1] != params.dim:
-        raise ContractError(f"expected {params.dim} inputs, got {a.shape[1]}")
-    for rw, b, kind in zip(params.raw_weights, params.biases, params.activations):
-        a = act_eval(kind, a @ positivity_map(rw).T + b)
-    out = a[:, 0]
-    return float(out[0]) if scalar else out
-
-
-def miso_grad(params: MisoNetParams, y):
-    """Gradient d output / d inputs via stacked layer Jacobians.
-
-    Every entry is positive for sigmoid/tanh/linear activations because the
-    effective weights are positive and those activations have strictly
-    positive slope.
-    """
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != (params.dim,):
-        raise ContractError("miso_grad expects a single point")
-    a = y
-    jac = np.eye(params.dim)
-    for rw, b, kind in zip(params.raw_weights, params.biases, params.activations):
-        w = positivity_map(rw)
-        pre = w @ a + b
-        jac = act_d1(kind, pre)[:, None] * (w @ jac)
-        a = act_eval(kind, pre)
-    return jac[0]
-
-
 def miso_mixed_partial(params: MisoNetParams, y, p, q):
     """Closed-form second mixed partial for a net with exactly one hidden layer.
 
@@ -106,12 +73,14 @@ def miso_mixed_partial(params: MisoNetParams, y, p, q):
     w2 = positivity_map(params.raw_weights[1])[0]
     z1, z2 = params.activations
     s = w1 @ y + params.biases[0]
-    t = float(w2 @ act_eval(z1, s) + params.biases[1][0])
-    d1s = act_d1(z1, s)
+    a = apply(z1, s)
+    t = float(w2 @ a + params.biases[1][0])
+    d1s = slope(z1, s, a)
     gp = float(w2 @ (d1s * w1[:, p]))
     gq = float(w2 @ (d1s * w1[:, q]))
-    curved = float(w2 @ (act_d2(z1, s) * w1[:, p] * w1[:, q]))
-    return act_d2(z2, t) * gp * gq + act_d1(z2, t) * curved
+    curved = float(w2 @ (curvature(z1, s, a) * w1[:, p] * w1[:, q]))
+    out = apply(z2, t)
+    return float(curvature(z2, t, out) * gp * gq + slope(z2, t, out) * curved)
 
 
 @dataclass
@@ -134,8 +103,6 @@ def find_negative_witness(seed, max_trials=10000, activation="sigmoid", dim=2, h
     value below -1e-8, or None once max_trials draws come up empty (which is
     the expected outcome for linear, relu and exp).
     """
-    if activation not in KINDS:
-        raise ContractError(f"unknown activation {activation!r}")
     rng = np.random.default_rng(seed)
     sizes = [dim, hidden, 1]
     with np.errstate(over="ignore", invalid="ignore"):

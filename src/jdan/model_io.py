@@ -16,7 +16,7 @@ import numpy as np
 
 from .data import ColumnScaler, LoadSpec
 from .errors import ConfigError
-from .hypernet import ArchitectureDescriptor, ConditioningNet, Forecaster, flatten, materialize
+from .hypernet import ArchitectureDescriptor, ConditioningNet, Forecaster
 
 MODEL_VERSION = "jdan-v1"
 
@@ -73,17 +73,18 @@ def forecaster_to_doc(fc: Forecaster, data_spec=None):
                 "scale": fc.feature_scaler.scale.tolist(),
             }
     else:
-        model = fc.model_for()
+        raw = fc.net.raw
+        spans, (c0, c1) = fc.arch.partition()
         doc["marginals"] = [
             {
-                "layer_sizes": list(map(int, m.layer_sizes)),
-                "activation": m.activation,
-                "raw_weights": [w.tolist() for w in m.raw_weights],
-                "biases": [b.tolist() for b in m.biases],
+                "layer_sizes": fc.arch.marginal_layer_sizes(d),
+                "activation": fc.arch.activations[d],
+                "raw_weights": [raw[a:b].reshape(shape).tolist() for a, b, shape in w_spans],
+                "biases": [raw[a:b].tolist() for a, b in b_spans],
             }
-            for m in model.marginals
+            for d, (w_spans, b_spans) in enumerate(spans)
         ]
-        doc["correlations"] = {"raw": model.correlations.raw.tolist()}
+        doc["correlations"] = {"raw": raw[c0:c1].tolist()}
     if data_spec is not None:
         doc["data_spec"] = {
             "path": data_spec.get("path"),
@@ -110,9 +111,12 @@ def doc_to_forecaster(doc) -> Forecaster:
         c = doc.get("conditioning")
         if c is None:
             raise ConfigError("conditional model document lacks a conditioning section")
+        sizes = [_integer(s, "conditioning.layer_sizes entry") for s in c["layer_sizes"]]
+        _agree("conditioning.layer_sizes", sizes,
+               [arch.feature_dim, *arch.hypernet_hidden, arch.param_count()])
         net = ConditioningNet(
             input_dim=_integer(c["input_dim"], "conditioning.input_dim"),
-            layer_sizes=[_integer(s, "conditioning.layer_sizes entry") for s in c["layer_sizes"]],
+            layer_sizes=sizes,
             weights=[np.asarray(w, dtype=np.float64) for w in c["weights"]],
             biases=[np.asarray(b, dtype=np.float64) for b in c["biases"]],
             activation=c.get("activation", "sigmoid"),
@@ -126,30 +130,35 @@ def doc_to_forecaster(doc) -> Forecaster:
         return Forecaster(net, arch, feature_scaler=scaler)
     if "marginals" not in doc or "correlations" not in doc:
         raise ConfigError("unconditional model document lacks marginals/correlations")
-    # rebuild the flat raw vector through the same partition used to save it
-    from .copula import CorrelationParams, JdanModel
-    from .marginal import MarginalNetParams
+    return Forecaster(ConditioningNet(input_dim=0, raw=_raw_from_doc(doc, arch)), arch)
 
-    marginals = [
-        MarginalNetParams(
-            layer_sizes=[_integer(s, "marginal layer_sizes entry") for s in m["layer_sizes"]],
-            raw_weights=[np.asarray(w, dtype=np.float64) for w in m["raw_weights"]],
-            biases=[np.asarray(b, dtype=np.float64) for b in m["biases"]],
-            activation=m.get("activation", "sigmoid"),
-        )
-        for m in doc["marginals"]
-    ]
-    model = JdanModel(
-        dim=arch.dim,
-        marginals=marginals,
-        correlations=CorrelationParams(raw=np.asarray(doc["correlations"]["raw"])),
-        bounds=list(arch.bounds),
-    )
-    raw = flatten(model)
-    if raw.size != arch.param_count():
-        raise ConfigError("stored parameters do not match the stored architecture")
-    net = ConditioningNet(input_dim=0, raw=raw)
-    return Forecaster(net, arch)  # materialize rejects non-finite parameters
+
+def _agree(what, stored, want):
+    if stored != want:
+        raise ConfigError(f"model document {what} {stored!r} disagrees with the architecture's "
+                          f"{want!r}")
+
+
+def _raw_from_doc(doc, arch):
+    """The flat raw vector, each stored array read into its span of arch.partition()."""
+    _agree("marginal count", len(doc["marginals"]), arch.dim)
+    spans, (c0, c1) = arch.partition()
+    sections = [("correlations", [doc["correlations"]["raw"]], [(c0, c1, (c1 - c0,))])]
+    for d, (m, (w_spans, b_spans)) in enumerate(zip(doc["marginals"], spans)):
+        what = f"marginal {d + 1}"
+        sizes = [_integer(s, "marginal layer_sizes entry") for s in m["layer_sizes"]]
+        _agree(f"{what} layer_sizes", sizes, arch.marginal_layer_sizes(d))
+        _agree(f"{what} activation", m.get("activation", arch.activations[d]), arch.activations[d])
+        sections += [(f"{what} raw_weights", m["raw_weights"], w_spans),
+                     (f"{what} biases", m["biases"], [(a, b, (b - a,)) for a, b in b_spans])]
+    raw = np.empty(arch.param_count())
+    for what, arrays, spans in sections:
+        _agree(f"{what} array count", len(arrays), len(spans))
+        for k, (array, (a, b, shape)) in enumerate(zip(arrays, spans)):
+            array = np.asarray(array, dtype=np.float64)
+            _agree(f"{what}[{k}] shape", array.shape, shape)
+            raw[a:b] = array.reshape(-1)
+    return raw  # materialize rejects non-finite parameters
 
 
 def save_model(path, fc: Forecaster, data_spec=None):

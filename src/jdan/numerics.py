@@ -13,11 +13,6 @@ def sigmoid(x):
     return out
 
 
-def softplus(x):
-    """log(1 + e^x) without overflow on either tail."""
-    return np.logaddexp(0.0, np.asarray(x, dtype=np.float64))
-
-
 def simpson(values, h):
     """Composite Simpson rule over the last axis: an odd number of nodes h apart.
 

@@ -3,8 +3,11 @@
 import numpy as np
 from hypothesis import settings
 
+from jdan.activations import apply, slope
 from jdan.copula import joint_pdf
+from jdan.errors import ContractError
 from jdan.hypernet import ArchitectureDescriptor, materialize
+from jdan.marginal import positivity_map
 
 # every run draws the same examples and writes no example database (.hypothesis/)
 settings.register_profile("deterministic", derandomize=True, database=None)
@@ -69,3 +72,27 @@ def simpson_integral(model, n):
         shape[d] = n + 1
         pdf = pdf * w.reshape(shape) * ((hi[d] - lo[d]) / n / 3.0)
     return float(pdf.sum())
+
+
+def miso_forward(params, y):
+    """A MisoNetParams net's output at one point (D,) or a batch (n, D)."""
+    y = np.asarray(y, dtype=np.float64)
+    a = np.atleast_2d(y)
+    if a.shape[1] != params.dim:
+        raise ContractError(f"expected {params.dim} inputs, got {a.shape[1]}")
+    for rw, b, kind in zip(params.raw_weights, params.biases, params.activations):
+        a = apply(kind, a @ positivity_map(rw).T + b)
+    out = a[:, 0]
+    return float(out[0]) if y.ndim == 1 else out
+
+
+def miso_grad(params, y):
+    """d output / d inputs at one point (D,), by stacked layer Jacobians."""
+    a = np.asarray(y, dtype=np.float64)
+    jac = np.eye(params.dim)
+    for rw, b, kind in zip(params.raw_weights, params.biases, params.activations):
+        w = positivity_map(rw)
+        pre = w @ a + b
+        a = apply(kind, pre)
+        jac = np.reshape(slope(kind, pre, a), (-1, 1)) * (w @ jac)
+    return jac[0]

@@ -24,17 +24,18 @@ from jdan.copula import (
 from jdan.hypernet import Forecaster, initialize_net, materialize
 from jdan.marginal import normalized_cdf
 from jdan.metrics import pit_ks
-from jdan.miso import (
-    MisoNetParams,
-    find_negative_witness,
-    miso_forward,
-    miso_grad,
-    miso_mixed_partial,
-)
+from jdan.miso import MisoNetParams, find_negative_witness, miso_mixed_partial
 from jdan.model_io import save_model
 from jdan.training import TrainConfig, grad_check, nll_loss, train
 
-from conftest import interior_points, random_model, simpson_integral, unit_arch
+from conftest import (
+    interior_points,
+    miso_forward,
+    miso_grad,
+    random_model,
+    simpson_integral,
+    unit_arch,
+)
 
 pytestmark = pytest.mark.filterwarnings("ignore:only .* samples:UserWarning")
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jdan.activations import KINDS, act_d1, act_d2, act_eval
+from jdan.activations import KINDS, apply, curvature, slope
 from jdan.errors import ContractError, DomainError
 from jdan.numerics import sigmoid
 
@@ -14,47 +14,55 @@ from conftest import central_fd
 finite_x = st.floats(-10.0, 10.0, allow_nan=False)
 
 
+def d1(kind, x):
+    return slope(kind, x, apply(kind, x))
+
+
+def d2(kind, x):
+    return curvature(kind, x, apply(kind, x))
+
+
 def test_tabulated_values():
-    assert act_eval("sigmoid", 0.0) == 0.5
-    assert act_eval("linear", 3.2) == 3.2
-    assert act_eval("relu", -1.5) == 0.0
-    assert act_d1("sigmoid", 0.0) == 0.25
-    assert act_d1("linear", 7.0) == 1.0
-    assert act_d1("tanh", 0.0) == 1.0
-    assert act_d2("linear", 5.0) == 0.0
-    assert act_d2("sigmoid", 0.0) == 0.0
+    assert apply("sigmoid", 0.0) == 0.5
+    assert apply("linear", 3.2) == 3.2
+    assert apply("relu", -1.5) == 0.0
+    assert d1("sigmoid", 0.0) == 0.25
+    assert d1("linear", 7.0) == 1.0
+    assert d1("tanh", 0.0) == 1.0
+    assert d2("linear", 5.0) == 0.0
+    assert d2("sigmoid", 0.0) == 0.0
 
 
 def test_sigmoid_second_derivative_changes_sign():
     # the root cause of the multi-input impossibility: d2 is negative for
     # x > 0 and positive for x < 0
-    assert act_d2("sigmoid", 1.0) < 0
-    assert act_d2("sigmoid", -1.0) > 0
-    s = act_eval("sigmoid", 1.0)
-    assert act_d2("sigmoid", 1.0) == pytest.approx(s * (1 - s) * (1 - 2 * s), rel=1e-12)
+    assert d2("sigmoid", 1.0) < 0
+    assert d2("sigmoid", -1.0) > 0
+    s = apply("sigmoid", 1.0)
+    assert d2("sigmoid", 1.0) == pytest.approx(s * (1 - s) * (1 - 2 * s), rel=1e-12)
 
 
 def test_relu_subgradient_at_zero_is_zero():
-    assert act_d1("relu", 0.0) == 0.0
+    assert d1("relu", 0.0) == 0.0
 
 
 def test_linear_relu_d2_exactly_zero_on_arrays():
     x = np.linspace(-10, 10, 1001)
-    assert np.all(act_d2("linear", x) == 0.0)
-    assert np.all(act_d2("relu", x) == 0.0)
+    assert np.all(d2("linear", x) == 0.0)
+    assert np.all(d2("relu", x) == 0.0)
 
 
 def test_exp_all_derivatives_equal():
     x = np.linspace(-5, 5, 101)
-    np.testing.assert_array_equal(act_eval("exp", x), np.exp(x))
-    np.testing.assert_array_equal(act_d1("exp", x), np.exp(x))
-    np.testing.assert_array_equal(act_d2("exp", x), np.exp(x))
+    np.testing.assert_array_equal(apply("exp", x), np.exp(x))
+    np.testing.assert_array_equal(d1("exp", x), np.exp(x))
+    np.testing.assert_array_equal(d2("exp", x), np.exp(x))
 
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_first_derivative_nonnegative_dense(kind):
     x = np.linspace(-10, 10, 4001)
-    assert np.all(act_d1(kind, x) >= 0.0)
+    assert np.all(d1(kind, x) >= 0.0)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -63,24 +71,24 @@ def test_d1_matches_central_fd(kind):
     for x in rng.uniform(-6, 6, size=200):
         if kind == "relu" and abs(x) < 2e-6:
             continue  # kink
-        fd = central_fd(lambda t: act_eval(kind, t), x, 1e-6)
-        assert abs(act_d1(kind, x) - fd) <= 1e-6 * (1 + abs(act_d1(kind, x)))
+        fd = central_fd(lambda t: apply(kind, t), x, 1e-6)
+        assert abs(d1(kind, x) - fd) <= 1e-6 * (1 + abs(d1(kind, x)))
 
 
 @pytest.mark.parametrize("kind", ["sigmoid", "tanh", "exp"])
 def test_d2_matches_central_fd_of_d1(kind):
     rng = np.random.default_rng(1)
     for x in rng.uniform(-5, 5, size=200):
-        fd = central_fd(lambda t: act_d1(kind, t), x, 1e-6)
-        assert abs(act_d2(kind, x) - fd) <= 1e-5 * (1 + abs(act_d2(kind, x)))
+        fd = central_fd(lambda t: d1(kind, t), x, 1e-6)
+        assert abs(d2(kind, x) - fd) <= 1e-5 * (1 + abs(d2(kind, x)))
 
 
 def test_exp_higher_derivatives_nonnegative():
     # orders 3 and 4 by nested finite differences stay >= 0 (module invariant)
     x = np.linspace(-5, 5, 51)
     h = 1e-3
-    d3 = (act_d2("exp", x + h) - act_d2("exp", x - h)) / (2 * h)
-    d4 = (act_d2("exp", x + h) - 2 * act_d2("exp", x) + act_d2("exp", x - h)) / h**2
+    d3 = (d2("exp", x + h) - d2("exp", x - h)) / (2 * h)
+    d4 = (d2("exp", x + h) - 2 * d2("exp", x) + d2("exp", x - h)) / h**2
     assert np.all(d3 >= 0)
     assert np.all(d4 >= -1e-9)
 
@@ -88,19 +96,19 @@ def test_exp_higher_derivatives_nonnegative():
 @settings(max_examples=200, deadline=None)
 @given(finite_x, st.sampled_from(KINDS))
 def test_scalar_in_scalar_out(x, kind):
-    for fn in (act_eval, act_d1, act_d2):
+    for fn in (apply, d1, d2):
         v = fn(kind, x)
-        assert isinstance(v, float)
+        assert np.ndim(v) == 0
         assert np.isfinite(v)
 
 
 def test_unknown_kind_and_nonfinite_input():
     with pytest.raises(ContractError):
-        act_eval("swish", 0.0)
+        apply("swish", 0.0)
     with pytest.raises(DomainError):
-        act_eval("sigmoid", np.nan)
+        apply("sigmoid", np.nan)
     with pytest.raises(DomainError):
-        act_d1("tanh", np.inf)
+        d1("tanh", np.inf)
 
 
 def two_branch_sigmoid(x):

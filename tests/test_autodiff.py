@@ -5,7 +5,6 @@ import pytest
 
 from jdan import autodiff as ad
 from jdan.numerics import sigmoid as np_sigmoid
-from jdan.numerics import softplus as np_softplus
 
 
 def fd_grad(f, x, h=1e-6):
@@ -156,7 +155,7 @@ def test_getitem_scatter_grad():
         (ad.exp, np.exp),
         (ad.tanh, np.tanh),
         (ad.sigmoid, np_sigmoid),
-        (ad.softplus, np_softplus),
+        (ad.softplus, lambda x: np.logaddexp(0.0, x)),
         (ad.relu, lambda x: np.maximum(x, 0.0)),
     ],
 )

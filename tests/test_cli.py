@@ -14,7 +14,7 @@ from jdan.copula import joint_pdf, sample
 from jdan.data import load_csv
 from jdan.hypernet import Forecaster
 from jdan.metrics import pit_values
-from jdan.model_io import load_model, load_spec_from_doc
+from jdan.model_io import load_model, load_spec_from_doc, save_model
 
 from conftest import random_model, simpson_integral
 
@@ -711,6 +711,85 @@ def test_unallocatable_energy_samples_exit_2(tmp_path, capsys):
     assert err.startswith("error: energy score with m_samples=4294967296 needs ")
     assert err.endswith(" bytes for its pair distances\n")
     assert not (tmp_path / "r.json").exists()
+
+
+# each request is at least a PiB, which numpy refuses without allocating anything
+@pytest.mark.parametrize("args, message", [
+    (["sample", "-n", "100000000000000", "--seed", "0"],
+     "error: 100000000000000 draws of dimension 2 need 1600000000000000 bytes for their uniforms"),
+    (["sample", "-n", str(10**20), "--seed", "0"],
+     f"error: {10**20} draws of dimension 2 need {16 * 10**20} bytes for their uniforms"),
+    (["density", "--grid", "100000000"],
+     f"error: a grid of {10**16} points needs {16 * 10**16} bytes"),
+], ids=["sample_pib", "sample_past_numpy_dims", "density_grid"])
+def test_unallocatable_requests_exit_2(args, message, tmp_path, capsys):
+    out = tmp_path / "o.csv"
+    assert main([*args, "--model", os.path.join(RUNS, "uniform_d2_model.json"),
+                 "--quiet", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == message + "\n"
+    assert not out.exists()
+
+
+def _recut_marginal(doc):
+    """Marginal 2's 25 raw values as a [1, 2, 5, 1] net: the count of the stored [1, 8, 1]."""
+    m = doc["marginals"][1]
+    flat = np.concatenate([np.ravel(a) for a in m["raw_weights"] + m["biases"]])
+    cuts = np.cumsum([2, 10, 5, 2, 5])
+    w1, w2, w3, b1, b2, b3 = np.split(flat, cuts)
+    m.update(layer_sizes=[1, 2, 5, 1],
+             raw_weights=[w1.reshape(2, 1).tolist(), w2.reshape(5, 2).tolist(),
+                          w3.reshape(1, 5).tolist()],
+             biases=[b1.tolist(), b2.tolist(), b3.tolist()])
+
+
+@pytest.mark.parametrize("name, edit, message", [
+    ("uniform_d2", _recut_marginal,
+     "marginal 2 layer_sizes [1, 2, 5, 1] disagrees with the architecture's [1, 8, 1]"),
+    ("uniform_d2", lambda doc: doc["marginals"][1].update(activation="tanh"),
+     "marginal 2 activation 'tanh' disagrees with the architecture's 'sigmoid'"),
+    ("conditional_d2", lambda doc: doc["architecture"].update(hypernet_hidden=[7]),
+     "conditioning.layer_sizes [1, 32, 32, 51] disagrees with the architecture's [1, 7, 51]"),
+], ids=["marginal_layer_sizes", "marginal_activation", "hypernet_hidden"])
+def test_model_documents_must_match_their_architecture(name, edit, message, tmp_path, capsys):
+    # each of these loaded silently and ran a model the document does not describe
+    model = _edited_doc(os.path.join(RUNS, f"{name}_model.json"), tmp_path / "m.json", edit)
+    out = tmp_path / "s.csv"
+    features = ["--features", "0.2"] if name == "conditional_d2" else []
+    assert main(["sample", "--model", model, "-n", "5", "--seed", "0", *features,
+                 "--quiet", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: model document {message}\n"
+    assert not out.exists()
+
+
+def test_model_arrays_must_fit_their_spans(tmp_path, capsys):
+    def short_bias(doc):
+        doc["marginals"][0]["biases"][0].pop()
+
+    def extra_layer(doc):
+        doc["marginals"][0]["raw_weights"].append([[0.0]])
+
+    def short_correlations(doc):
+        doc["correlations"]["raw"] = []
+
+    errs = [
+        "marginal 1 biases[0] shape (7,) disagrees with the architecture's (8,)",
+        "marginal 1 raw_weights array count 3 disagrees with the architecture's 2",
+        "correlations[0] shape (0,) disagrees with the architecture's (1,)",
+    ]
+    for k, (edit, err) in enumerate(zip((short_bias, extra_layer, short_correlations), errs)):
+        model = _edited_doc(os.path.join(RUNS, "uniform_d2_model.json"),
+                            tmp_path / f"m{k}.json", edit)
+        assert main(["verify", "--model", model, "--quiet"]) == 2
+        assert capsys.readouterr().err == f"error: model document {err}\n"
+
+
+@pytest.mark.parametrize("name", ["uniform_d2", "conditional_d2"])
+def test_bundled_models_save_back_byte_identical(name, tmp_path):
+    src = os.path.join(RUNS, f"{name}_model.json")
+    fc, doc = load_model(src)
+    save_model(tmp_path / "m.json", fc, data_spec=doc["data_spec"])
+    with open(src, "rb") as fh:
+        assert (tmp_path / "m.json").read_bytes() == fh.read()
 
 
 def test_verify_battery_fails_on_nan(trained):

@@ -5,15 +5,10 @@ import pytest
 
 from jdan.errors import ContractError
 from jdan.marginal import positivity_map
-from jdan.miso import (
-    MisoNetParams,
-    Witness,
-    find_negative_witness,
-    miso_forward,
-    miso_grad,
-    miso_mixed_partial,
-)
+from jdan.miso import MisoNetParams, Witness, find_negative_witness, miso_mixed_partial
 from jdan.numerics import sigmoid
+
+from conftest import miso_forward, miso_grad
 
 
 def two_layer(rng, dim=2, hidden=4, activation="sigmoid"):
