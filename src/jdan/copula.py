@@ -207,14 +207,17 @@ def joint_pdf(model: JdanModel, y):
 def mixed_partial_fd(model: JdanModel, y, h):
     """Central-difference estimate of the all-coordinates mixed partial of the CDF.
 
-    h is the absolute step, either a scalar shared by every dimension or one
-    step per dimension. The 2^D stencil with signs (-1)^(#minus sides) agrees
-    with joint_pdf to O(h^2); it exists purely to cross-check the closed form.
+    h is the absolute step, finite and positive, either a scalar shared by
+    every dimension or one step per dimension. The 2^D stencil with signs
+    (-1)^(#minus sides) agrees with joint_pdf to O(h^2); it exists purely to
+    cross-check the closed form.
     """
     y = np.asarray(y, dtype=np.float64)
     if y.ndim != 1 or y.size != model.dim:
         raise ContractError("mixed_partial_fd expects a single point")
     steps = np.broadcast_to(np.asarray(h, dtype=np.float64), (model.dim,))
+    if not np.all(np.isfinite(steps) & (steps > 0.0)):
+        raise ContractError(f"finite-difference steps must be finite and positive, got {h!r}")
     lo, up = model.box_lower(), model.box_upper()
     if np.any(y - steps < lo) or np.any(y + steps > up):
         raise BracketError("stencil leaves the box; move the point inward or shrink h")

@@ -153,6 +153,11 @@ class ConditioningNet:
                 raise ContractError("unconditional nets must carry a raw vector")
             self.raw = ad.array(self.raw).reshape((-1,))
         else:
+            layers = len(self.layer_sizes) - 1
+            if layers < 1 or not len(self.weights) == len(self.biases) == layers:
+                raise ContractError(
+                    f"hypernet needs one weight and bias per layer: {max(layers, 0)} layers, "
+                    f"{len(self.weights)} weights, {len(self.biases)} biases")
             if self.layer_sizes[0] != self.input_dim:
                 raise ContractError("first layer size must equal input_dim")
             for k, (w, b) in enumerate(zip(self.weights, self.biases)):

@@ -17,6 +17,11 @@ shape (n,) or (n, k), and evaluates row i's points under row i's parameters.
 The parameters may also be tape nodes (see ``autodiff``): ``normalize`` is
 then the same code differentiated for training. Points are always plain
 arrays.
+
+One helper, ``_pass``, finds psi(L), psi(U) and the span, and is the only
+check of the span: it runs the net once over nodes from exactly L to exactly
+U and then the caller's points. Each CDF, density or table call is one such
+pass; ``normalize`` makes two (see there).
 """
 
 from dataclasses import dataclass
@@ -154,39 +159,6 @@ def _psi(params, weights, a, deriv):
     return a, d
 
 
-def _ends(params, weights, b: Bounds):
-    """psi(L) and the span psi(U) - psi(L); a span below DENOM_EPS raises."""
-    ends, _ = _psi(params, weights, np.array([[b.lower], [b.upper]]), False)
-    return _normalizer(ends[..., :1, :], ends[..., -1:, :], b)
-
-
-def _normalizer(lower, upper, b: Bounds):
-    """psi(L) and the span psi(U) - psi(L), given both; a span below DENOM_EPS raises."""
-    span = upper - lower
-    if np.any(ad.value(span) < DENOM_EPS):
-        raise DegenerateMarginalError(
-            f"marginal is flat over [{b.lower}, {b.upper}] "
-            f"(span {float(np.min(ad.value(span))):.3e}); "
-            "the model cannot represent a distribution on these bounds"
-        )
-    return lower, span
-
-
-def normalize(params: MarginalNetParams, y, b: Bounds, pdf=True):
-    """(F(y), f(y)) at points y inside [L, U]; f is None without pdf.
-
-    psi(L) and psi(U) come from one pass and psi(y), with its derivative,
-    from another. The parameters may be tape nodes; then so are F and f.
-    A span psi(U) - psi(L) below DENOM_EPS raises DegenerateMarginalError.
-    """
-    a, shape = _as_column(params, y)
-    weights = params.effective_weights()
-    lower, span = _ends(params, weights, b)
-    psi, dpsi = _psi(params, weights, a, pdf)
-    cdf = ((psi - lower) / span).reshape(shape)
-    return cdf, ((dpsi / span).reshape(shape) if pdf else None)
-
-
 def _pinned(cdf, y, b: Bounds):
     """cdf clipped to [0, 1], and exactly 0 at y <= L and 1 at y >= U."""
     # unpinned, F is exact at the ends and within [0, 1] only while every layer
@@ -199,19 +171,40 @@ def table_nodes(b: Bounds):
     return np.linspace(b.lower, b.upper, TABLE_INTERVALS + 1)
 
 
-def _table(params, weights, b: Bounds, extra):
-    """psi(L), the span, and F on the table nodes followed by the extra points, from one pass.
+def _pass(params, weights, b: Bounds, a, deriv=False, table=False):
+    """(psi(L), the span psi(U) - psi(L), psi, d psi / dy or None), from one pass.
 
-    extra is a point column as ``_as_column`` makes it. psi(L) and psi(U) are
-    the first and last nodes' values, so no separate pass finds them.
+    The pass runs over nodes from exactly L to exactly U, [L, U] or with table
+    ``table_nodes(b)``, broadcast over a's rows, then over the point column a
+    (as ``_as_column`` makes it): psi holds the nodes' values first.
     """
-    nodes = table_nodes(b)[:, None]
-    if params.rows is not None:
-        nodes = np.broadcast_to(nodes, (params.rows,) + nodes.shape)
-    pts = np.concatenate([nodes, np.clip(extra, b.lower, b.upper)], axis=-2)
-    psi, _ = _psi(params, weights, pts, False)
-    lower, span = _normalizer(psi[..., :1, :], psi[..., TABLE_INTERVALS:TABLE_INTERVALS + 1, :], b)
-    return lower, span, _pinned((psi - lower) / span, pts, b)
+    nodes = table_nodes(b)[:, None] if table else np.array([[b.lower], [b.upper]])
+    nodes = np.broadcast_to(nodes, a.shape[:-2] + nodes.shape)
+    psi, dpsi = _psi(params, weights, np.concatenate([nodes, a], axis=-2), deriv)
+    k = nodes.shape[-2]
+    lower = psi[..., :1, :]
+    span = psi[..., k - 1:k, :] - lower
+    if np.any(ad.value(span) < DENOM_EPS):
+        raise DegenerateMarginalError(
+            f"marginal is flat over [{b.lower}, {b.upper}] "
+            f"(span {float(np.min(ad.value(span))):.3e}); "
+            "the model cannot represent a distribution on these bounds"
+        )
+    return lower, span, psi, dpsi
+
+
+def normalize(params: MarginalNetParams, y, b: Bounds):
+    """(F(y), f(y)) at points y inside [L, U]; tape-node parameters give tape nodes.
+
+    psi(L) and psi(U) come from one pass, psi(y) and d psi / dy from a second:
+    training differentiates this, and one pass would reshape the tape's
+    matmuls and so change the trained bits.
+    """
+    a, shape = _as_column(params, y)
+    weights = params.effective_weights()
+    lower, span, _, _ = _pass(params, weights, b, a[..., :0, :])
+    psi, dpsi = _psi(params, weights, a, True)
+    return ((psi - lower) / span).reshape(shape), (dpsi / span).reshape(shape)
 
 
 def cdf_table(params: MarginalNetParams, b: Bounds, extra=None):
@@ -223,23 +216,28 @@ def cdf_table(params: MarginalNetParams, b: Bounds, extra=None):
     Every value depends only on its point and its row's parameters.
     """
     if extra is None:
-        extra = np.empty((0,) if params.rows is None else (params.rows, 0))
-    col, shape = _as_column(params, extra)
-    f = _table(params, params.effective_weights(), b, col)[2][..., 0]
-    return f[..., :TABLE_INTERVALS + 1], f[..., TABLE_INTERVALS + 1:].reshape(shape)
+        extra = np.empty(params.raw_weights[0].shape[:-2] + (0,))  # no points in any row
+    a, shape = _as_column(params, np.clip(extra, b.lower, b.upper))
+    lower, span, psi, _ = _pass(params, params.effective_weights(), b, a, table=True)
+    f, n = ((psi - lower) / span)[..., 0], TABLE_INTERVALS + 1
+    return _pinned(f[..., :n], table_nodes(b), b), _pinned(f[..., n:], a[..., 0], b).reshape(shape)
 
 
 def normalized_cdf(params: MarginalNetParams, y, b: Bounds):
     """CDF on [L, U]: exactly 0 at L, exactly 1 at U; inputs outside are clamped."""
     y = np.asarray(y, dtype=np.float64)
-    out = _pinned(normalize(params, np.clip(y, b.lower, b.upper), b, pdf=False)[0], y, b)
+    a, shape = _as_column(params, np.clip(y, b.lower, b.upper))
+    lower, span, psi, _ = _pass(params, params.effective_weights(), b, a)
+    out = _pinned(((psi[..., 2:, :] - lower) / span).reshape(shape), y, b)  # past L and U
     return float(out) if out.ndim == 0 else out
 
 
 def normalized_pdf(params: MarginalNetParams, y, b: Bounds):
     """Density on [L, U]: d psi / dy over the normalizing span; 0 outside."""
     y = np.asarray(y, dtype=np.float64)
-    _, dens = normalize(params, np.clip(y, b.lower, b.upper), b)
+    a, shape = _as_column(params, np.clip(y, b.lower, b.upper))
+    _, span, _, dpsi = _pass(params, params.effective_weights(), b, a, deriv=True)
+    dens = (dpsi[..., 2:, :] / span).reshape(shape)  # past L and U
     out = np.where((y >= b.lower) & (y <= b.upper), dens, 0.0)
     return float(out) if out.ndim == 0 else out
 
@@ -262,16 +260,15 @@ def inverse_cdf(params: MarginalNetParams, p, b: Bounds):
     if np.any((p_arr < 0.0) | (p_arr > 1.0)) or not np.all(np.isfinite(p_arr)):
         raise ContractError("probabilities must lie in [0, 1]")
     q, shape = _as_column(params, p_arr)
-    weights = params.effective_weights()
-    lower, span, table = _table(params, weights, b, q[..., :0, :])
-    # one row of probabilities per table row: (1, m) for a shared set, (n, k) for a block
-    table, flat = (table.T, q.T) if params.rows is None else (table[..., 0], q[..., 0])
+    weights, nodes = params.effective_weights(), table_nodes(b)
+    lower, span, psi, _ = _pass(params, weights, b, q[..., :0, :], table=True)
+    table = _pinned(((psi - lower) / span).reshape(-1, TABLE_INTERVALS + 1), nodes, b)
+    flat = q.reshape(len(table), -1)  # each table row's p: (1, m) shared, (n, k) per row
     # the node i with F[i] <= p < F[i + 1]: F is 0 at L and 1 at U, and the binary
     # search's own comparisons keep that even where rounding leaves F unsorted by an ulp
     i = np.stack([np.searchsorted(t, v, side="right") for t, v in zip(table, flat)])
     i = np.clip(i - 1, 0, TABLE_INTERVALS - 1)  # p = 0 and p = 1 are settled apart
     f_lo, f_hi = np.take_along_axis(table, i, -1), np.take_along_axis(table, i + 1, -1)
-    nodes = table_nodes(b)
     lo, hi = nodes[i].reshape(q.shape), nodes[i + 1].reshape(q.shape)
     live = (q > 0.0) & (q < 1.0)
     with np.errstate(divide="ignore", invalid="ignore"):  # f_hi > f_lo wherever p is live

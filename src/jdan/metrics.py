@@ -8,12 +8,13 @@ its own, so no score depends on the block size.
 Bounds policy: the model's support is fixed at training time. Test targets
 outside it are excluded from the log score (and counted) and clamped to
 the support for the CDF-based metrics, so a stray observation degrades the
-scores instead of corrupting them with boundary densities.
+scores instead of corrupting them with boundary densities. A target that is
+not finite (NaN or +-inf) is refused with ContractError by every metric.
 """
 
 import json
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -37,14 +38,7 @@ class MetricsReport:
     pit: np.ndarray = field(default=None, repr=False)  # (rows, D) PIT values; not in to_dict
 
     def to_dict(self):
-        return {
-            "log_score": self.log_score,
-            "crps": list(self.crps),
-            "pit_ks": list(self.pit_ks),
-            "energy_score": self.energy_score,
-            "n_evaluated": self.n_evaluated,
-            "n_excluded": self.n_excluded,
-        }
+        return {k: v for k, v in asdict(self).items() if k != "pit"}
 
     def to_json(self, **kw):
         return json.dumps(self.to_dict(), indent=2, **kw)
@@ -67,6 +61,10 @@ def _model_for_rows(fc: Forecaster, targets, features):
     targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
     if targets.shape[0] == 0:
         raise ContractError("no rows to score")
+    bad = ~np.all(np.isfinite(targets), axis=-1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ContractError(f"target row {i} is not finite: {targets[i].tolist()}")
     if fc.conditional and features is None:
         raise ContractError("conditional forecaster needs features")
     model = fc.model_for(np.atleast_2d(features) if fc.conditional else None)

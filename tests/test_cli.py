@@ -783,6 +783,34 @@ def test_model_arrays_must_fit_their_spans(tmp_path, capsys):
         assert capsys.readouterr().err == f"error: model document {err}\n"
 
 
+def _pop_conditioning_layer(doc):
+    doc["conditioning"]["weights"].pop()
+    doc["conditioning"]["biases"].pop()
+
+
+def _repeat_conditioning_layer(doc):
+    doc["conditioning"]["weights"].append(doc["conditioning"]["weights"][-1])
+    doc["conditioning"]["biases"].append(doc["conditioning"]["biases"][-1])
+
+
+@pytest.mark.parametrize("command", [
+    ["sample", "-n", "5", "--seed", "0", "--features", "0.2"],
+    ["evaluate", "--data", os.path.join(ROOT, "data", "conditional_d2.csv"), "--no-energy"],
+], ids=["sample", "evaluate"])
+@pytest.mark.parametrize("edit, counts", [
+    (_pop_conditioning_layer, "3 layers, 2 weights, 2 biases"),
+    (_repeat_conditioning_layer, "3 layers, 4 weights, 4 biases"),
+], ids=["layer_fewer", "layer_extra"])
+def test_conditioning_layer_counts_must_match(edit, counts, command, tmp_path, capsys):
+    # one layer fewer failed on the raw vector's width, one more with an IndexError traceback
+    model = _edited_doc(os.path.join(RUNS, "conditional_d2_model.json"), tmp_path / "m.json", edit)
+    out = tmp_path / "out"
+    assert main([command[0], "--model", model, *command[1:], "--quiet", "--out", str(out)]) == 2
+    message = f"hypernet needs one weight and bias per layer: {counts}"
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("name", ["uniform_d2", "conditional_d2"])
 def test_bundled_models_save_back_byte_identical(name, tmp_path):
     src = os.path.join(RUNS, f"{name}_model.json")

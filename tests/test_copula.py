@@ -213,6 +213,14 @@ def test_mixed_partial_fd_rejects_stencil_outside_box():
         mixed_partial_fd(model, np.array([0.5, 1.0 - 1e-9]), h=1e-4)
 
 
+@pytest.mark.parametrize("h", [0.0, -1e-3, np.nan, np.inf], ids=["zero", "negative", "nan", "inf"])
+def test_mixed_partial_fd_rejects_steps_not_finite_and_positive(h):
+    # 0 gave NaN, and -1e-3 passed the box check near a face to give a wrong estimate
+    model = linear_model(dim=2)
+    with pytest.raises(ContractError, match="finite and positive"):
+        mixed_partial_fd(model, np.array([0.0005, 0.5]), h=h)
+
+
 def test_sample_shape_seed_determinism():
     rng = np.random.default_rng(9)
     model, _ = random_model(rng, dim=3)

@@ -257,6 +257,24 @@ def test_metrics_on_zero_rows_raise(metric, conditional):
         metric(fc, np.empty((0, 2)), np.empty((0, 2)) if conditional else None)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("metric", [
+    lambda fc, y: log_score(fc, y),
+    lambda fc, y: crps_marginal(fc, y, 0),
+    lambda fc, y: pit_values(fc, y),
+    lambda fc, y: pit_ks(fc, y, 0),
+    lambda fc, y: energy_score(fc, y, m_samples=4),
+    lambda fc, y: evaluate_forecaster(fc, y, m_samples=4),
+], ids=["log_score", "crps", "pit_values", "pit_ks", "energy", "evaluate"])
+def test_metrics_refuse_non_finite_targets(metric, bad):
+    # NaN gave a NaN energy score or a misleading activation error, inf an
+    # infinite one, and log_score excluded +-inf rows as out of bounds
+    y = np.random.default_rng(4).random((25, 2))
+    y[7, 1] = bad
+    with pytest.raises(ContractError, match=r"target row 7 is not finite"):
+        metric(uniform_forecaster(), y)
+
+
 def test_pit_values_uniform_model_identity():
     # uniform marginals: PIT of y is y itself
     fc = uniform_forecaster()

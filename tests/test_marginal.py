@@ -5,24 +5,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jdan import marginal
+from jdan.copula import joint_pdf
 from jdan.errors import (
     ContractError,
     DegenerateMarginalError,
     EvaluationError,
     InversionError,
 )
+from jdan.hypernet import materialize
 from jdan.marginal import (
     Bounds,
     MarginalNetParams,
     _psi,
+    cdf_table,
     inverse_cdf,
+    normalize,
     normalized_cdf,
     normalized_pdf,
     positivity_map,
 )
 from jdan.numerics import composite_simpson
 
-from conftest import central_fd
+from conftest import central_fd, unit_arch
 
 UNIT = Bounds(0.0, 1.0)
 
@@ -196,6 +201,30 @@ def test_inverse_rejects_bad_probability():
         inverse_cdf(net, 1.5, UNIT)
     with pytest.raises(ContractError):
         inverse_cdf(net, -0.1, UNIT)
+
+
+@pytest.mark.parametrize("rows", [None, 3], ids=["shared", "per_row"])
+def test_passes_through_the_net_per_call(rows, monkeypatch):
+    # psi(L) and psi(U) ride in the one pass of every CDF, density and table call;
+    # normalize, which training differentiates, finds them in a pass of their own
+    arch = unit_arch(dim=2)
+    raw = np.random.default_rng(0).normal(size=(rows or 1, arch.param_count()))
+    model = materialize(raw if rows else raw[0], arch)
+    m, b = model.marginals[0], model.bounds[0]
+    y = np.linspace(0.1, 0.9, 12).reshape(rows, -1) if rows else np.linspace(0.1, 0.9, 12)
+    pts = np.full((rows or 5, 2), 0.4)
+    passes = []
+    psi = marginal._psi
+    monkeypatch.setattr(marginal, "_psi", lambda *a, **kw: passes.append(1) or psi(*a, **kw))
+    for call, want in ((lambda: normalized_cdf(m, y, b), 1),
+                       (lambda: normalized_pdf(m, y, b), 1),
+                       (lambda: cdf_table(m, b), 1),
+                       (lambda: cdf_table(m, b, y), 1),
+                       (lambda: normalize(m, y, b), 2),
+                       (lambda: joint_pdf(model, pts), 2 * model.dim)):
+        passes.clear()
+        call()
+        assert len(passes) == want
 
 
 def test_degenerate_marginal_raises():
