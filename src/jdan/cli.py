@@ -8,6 +8,7 @@ seeds — there are no wall-clock defaults anywhere.
 
 import argparse
 import dataclasses
+import itertools
 import json
 import numbers
 import os
@@ -17,7 +18,8 @@ import numpy as np
 
 from . import model_io
 from .activations import KINDS
-from .copula import joint_cdf, joint_pdf, mixed_partial_fd, row_blocks, sample as model_sample
+from .copula import (grid_pdf, joint_cdf, joint_pdf, mixed_partial_fd, row_blocks,
+                     sample as model_sample)
 from .data import ColumnScaler, LoadSpec, fit_bounds, load_csv
 from .errors import ConfigError, ContractError, DataError, JdanError
 from .hypernet import ArchitectureDescriptor, Forecaster
@@ -65,13 +67,22 @@ def _emit(args, path, parts, note=None):
         _say(args, note)
 
 
-def _csv(header, table):
-    """Header line, then one line per row at full float precision; a part per block of rows."""
+def _csv(header, table, axes=()):
+    """Header line, then one line per row at full float precision; a part per block of rows.
+
+    With grid axes, row r starts with point r of the axes' product (the last
+    axis varying fastest), each axis value formatted once, and the table holds
+    only the columns after it.
+    """
     table = np.asarray(table, dtype=np.float64)
     row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    texts = [["%.17g," % v for v in a.tolist()] for a in axes]
+    # a formatted number holds no "%", so a point's text can stand in the format itself
+    points = map("".join, itertools.product(*texts)) if axes else itertools.repeat("")
     yield ",".join(header) + "\n"
     for rows in row_blocks(len(table)):
-        yield (row * len(table[rows])) % tuple(table[rows].ravel().tolist())
+        block = table[rows]
+        yield (row.join(itertools.islice(points, len(block))) + row) % tuple(block.ravel().tolist())
 
 
 def _load_config(args):
@@ -226,6 +237,8 @@ def _parse_fixes(fix_args, dim):
             raise ConfigError(f"--fix dimension {d} out of range 1..{dim}")
         if not np.isfinite(v):
             raise ConfigError(f"--fix value must be finite, got {item!r}")
+        if d - 1 in fixed:
+            raise ConfigError(f"--fix dimension {d} given twice")
         fixed[d - 1] = v
     return fixed
 
@@ -243,22 +256,21 @@ def cmd_density(args):
             f"{len(free)} free dimensions; fix all but at most 3 with --fix DIM=VALUE"
         )
     size = args.grid ** len(free)
+    # the evaluation's grid-sized temporaries take about as much as the grid's points would,
+    # so a grid whose points cannot be allocated is refused before any file is opened
     try:  # a MemoryError, or a ValueError when numpy refuses the shape outright
-        points = np.empty((size, model.dim))
+        np.empty((size, model.dim))
     except (MemoryError, ValueError):
         raise ConfigError(f"a grid of {size} points needs {size * model.dim * 8} bytes") from None
     # cell centers, so sum(pdf) * cell volume is a honest Riemann estimate
     centers = np.arange(args.grid) + 0.5
-    mesh = np.meshgrid(*[model.bounds[d].lower + model.bounds[d].width / args.grid * centers
-                         for d in free], indexing="ij")
-    for d, v in fixed.items():
-        points[:, d] = v
-    for ax, d in enumerate(free):
-        points[:, d] = mesh[ax].reshape(-1)
-    dens = np.concatenate([joint_pdf(model, points[rows]) for rows in row_blocks(len(points))])
-    _emit(args, args.out, _csv([f"y{d+1}" for d in range(model.dim)] + ["pdf"],
-                               np.column_stack([points, dens])),
-          f"{len(points)} grid densities written to {args.out}")
+    axes = [np.array([fixed[d]]) if d in fixed else
+            model.bounds[d].lower + model.bounds[d].width / args.grid * centers
+            for d in range(model.dim)]
+    dens = grid_pdf(model, axes)
+    _emit(args, args.out, _csv([f"y{d+1}" for d in range(model.dim)] + ["pdf"], dens[:, None],
+                               axes),
+          f"{size} grid densities written to {args.out}")
     return 0
 
 
@@ -391,11 +403,10 @@ def _verify_battery(model, level, seed):
 
 
 def _simpson_box_integral(model, n=48):
-    """Tensor-product Simpson integral of joint_pdf over the box (D <= 3)."""
+    """Tensor-product Simpson integral of the joint density over the box (D <= 3)."""
     n += n % 2
-    mesh = np.meshgrid(*[np.linspace(b.lower, b.upper, n + 1) for b in model.bounds],
-                       indexing="ij")
-    dens = joint_pdf(model, np.column_stack([m.reshape(-1) for m in mesh])).reshape(mesh[0].shape)
+    dens = grid_pdf(model, [np.linspace(b.lower, b.upper, n + 1) for b in model.bounds])
+    dens = dens.reshape([n + 1] * model.dim)
     for b in reversed(model.bounds):  # integrate out the last axis each time
         dens = simpson(dens, (b.upper - b.lower) / n)
     return float(dens)

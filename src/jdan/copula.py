@@ -16,15 +16,18 @@ Differentiating through all coordinates gives the closed-form density
     c(u) = 1 + mean over pairs of C_di * (1 - 2 u_d) * (1 - 2 u_i)
 
 on the unit cube, bounded by (0, 2), and the joint density is c at the
-marginal CDF values times the product of marginal densities. A finite
-difference mixed-partial oracle is included so the closed form can always
-be checked against the CDF it claims to differentiate.
+marginal CDF values times the product of marginal densities. One core,
+``_density``, evaluates it for ``joint_pdf``'s points (and training) and for
+``grid_pdf``'s tensor grids, where each marginal factor runs once per axis
+value. A finite difference mixed-partial oracle is included so the closed
+form can always be checked against the CDF it claims to differentiate.
 
 A model holds either one shared parameter set or a block of n per-row sets
 (see ``marginal``). A per-row model takes exactly n points, shape (n, D),
 and evaluates point i under parameter row i.
 """
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -184,6 +187,22 @@ def joint_cdf(model: JdanModel, y):
     return copula_cdf(model.correlations, marginal_cdf_values(model, y))
 
 
+def _density(model: JdanModel, cols):
+    """Joint density at the points the D columns y_d make when broadcast together.
+
+    Marginal d runs once per entry of column d; the parameters may be tape nodes.
+    """
+    box = [np.clip(y, b.lower, b.upper) for y, b in zip(cols, model.bounds)]
+    cdfs, pdfs = zip(*(normalize(m, y, b) for y, m, b in zip(box, model.marginals, model.bounds)))
+    dens = 1.0 + _pair_mean(model.correlations, [1.0 - 2.0 * f for f in cdfs])
+    for pdf in pdfs:
+        dens = dens * pdf
+    inside = functools.reduce(np.logical_and, [y == c for y, c in zip(box, cols)])
+    if not inside.all():
+        dens = dens * inside
+    return dens
+
+
 def joint_pdf(model: JdanModel, y):
     """Joint density: copula density at the CDF values times marginal densities.
 
@@ -192,16 +211,24 @@ def joint_pdf(model: JdanModel, y):
     differentiates, for points that all lie inside the box.
     """
     pts, scalar = _as_points(y, model.dim, model.rows)
-    box = np.clip(pts, model.box_lower(), model.box_upper())
-    cdfs, pdfs = zip(*(normalize(m, box[:, d], b)
-                       for d, (m, b) in enumerate(zip(model.marginals, model.bounds))))
-    dens = 1.0 + _pair_mean(model.correlations, [1.0 - 2.0 * f for f in cdfs])
-    for pdf in pdfs:
-        dens = dens * pdf
-    inside = np.all(box == pts, axis=1)
-    if not inside.all():
-        dens = dens * inside
+    dens = _density(model, list(pts.T))
     return float(dens[0]) if scalar else dens
+
+
+def grid_pdf(model: JdanModel, axes):
+    """Joint density on the tensor grid of D coordinate axes, flat in C order.
+
+    Axis d is a 1-D array of y_d values, one value for a fixed dimension; the
+    last axis varies fastest. Each density has the bits ``joint_pdf`` gives at
+    its point, since every plain marginal value depends only on its point.
+    """
+    if model.rows is not None:
+        raise ContractError("a grid takes one shared parameter set, not per-row sets")
+    if len(axes) != model.dim:
+        raise ContractError(f"a grid needs {model.dim} axes, got {len(axes)}")
+    cols = [np.asarray(a, dtype=np.float64).reshape([-1 if k == d else 1 for k in range(model.dim)])
+            for d, a in enumerate(axes)]
+    return _density(model, cols).reshape(-1)
 
 
 def mixed_partial_fd(model: JdanModel, y, h):

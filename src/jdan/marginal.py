@@ -61,6 +61,8 @@ class Bounds:
             raise ContractError("bounds must be finite")
         if not self.lower < self.upper:
             raise ContractError(f"bounds require lower < upper, got [{self.lower}, {self.upper}]")
+        if not np.isfinite(self.upper - self.lower):
+            raise ContractError(f"bounds [{self.lower}, {self.upper}] are wider than a float holds")
 
     @property
     def width(self):

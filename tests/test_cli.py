@@ -1,6 +1,7 @@
 """CLI surface: train/evaluate/density/sample/verify end to end, exit codes."""
 
 import csv
+import itertools
 import json
 import os
 import subprocess
@@ -12,7 +13,8 @@ import pytest
 from jdan.cli import _simpson_box_integral, main
 from jdan.copula import joint_pdf, sample
 from jdan.data import load_csv
-from jdan.hypernet import Forecaster
+from jdan import marginal
+from jdan.hypernet import ArchitectureDescriptor, Forecaster, initialize_net
 from jdan.metrics import pit_values
 from jdan.model_io import load_model, load_spec_from_doc, save_model
 
@@ -265,9 +267,62 @@ def test_csv_outputs_match_per_cell_rendering(trained, tmp_path, capsys):
     assert pit_path.read_text() == per_cell_csv(["u1", "u2"], pit_values(fc, targets))
 
 
+@pytest.fixture(scope="module")
+def model_d3(tmp_path_factory):
+    """A D = 3 model on a box that is not the unit cube, saved as a document."""
+    arch = ArchitectureDescriptor(dim=3, bounds=[(-1.0, 2.0), (0.0, 1.0), (10.0, 13.5)],
+                                  marginal_hidden=[[5]] * 3, activations=["sigmoid"] * 3)
+    net = initialize_net(arch, seed=4)
+    net.raw[:] = np.random.default_rng(4).normal(0.0, 0.8, net.raw.shape)
+    path = tmp_path_factory.mktemp("d3") / "model.json"
+    save_model(str(path), Forecaster(net, arch))
+    return str(path)
+
+
+@pytest.mark.parametrize("case, grid, fixes", [
+    ("d3", 5, {}),
+    ("d3", 6, {1: 0.3}),
+    ("d3", 4, {2: 99.0}),  # outside the box: every density is 0
+    ("d2", 70, {}),  # 4900 rows: two blocks of rendered text
+], ids=["d3_free", "d3_one_fixed", "d3_fixed_outside", "d2_two_blocks"])
+def test_density_grid_bytes_match_per_point_pdf(case, grid, fixes, trained, model_d3, tmp_path):
+    path = model_d3 if case == "d3" else trained["model"]
+    model = load_model(path)[0].model_for(None)
+    axes = [[fixes[d]] if d in fixes else
+            b.lower + b.width / grid * (np.arange(grid) + 0.5)  # cell centers
+            for d, b in enumerate(model.bounds)]
+    points = np.array(list(itertools.product(*axes)), dtype=np.float64)  # y1 varying slowest
+    out = tmp_path / "grid.csv"
+    fix = [arg for d, v in fixes.items() for arg in ("--fix", f"{d + 1}={v!r}")]
+    assert main(["density", "--model", path, "--grid", str(grid), "--quiet",
+                 "--out", str(out)] + fix) == 0
+    want = per_cell_csv([f"y{d + 1}" for d in range(model.dim)] + ["pdf"],
+                        np.column_stack([points, joint_pdf(model, points)]))
+    assert out.read_text() == want
+    if 2 in fixes:
+        assert not np.any(joint_pdf(model, points))
+
+
+def test_density_runs_each_marginal_once_per_axis_value(monkeypatch, tmp_path):
+    # a marginal factor depends on its own coordinate only, so a 64 x 64 grid needs
+    # its 64 values (and the ends L and U), not all 4096 points
+    seen = {}
+    psi = marginal._psi
+
+    def counted(params, weights, a, deriv):
+        seen[id(params)] = seen.get(id(params), 0) + a.size
+        return psi(params, weights, a, deriv)
+
+    monkeypatch.setattr(marginal, "_psi", counted)
+    assert main(["density", "--model", os.path.join(RUNS, "uniform_d2_model.json"),
+                 "--grid", "64", "--quiet", "--out", str(tmp_path / "grid.csv")]) == 0
+    assert len(seen) == 2
+    assert all(n <= 2 + 64 for n in seen.values()), seen
+
+
 def test_grid_and_draw_bytes_do_not_depend_on_blas_threads(tmp_path):
-    # on this grid a single joint_pdf call over all 66049 points gives one
-    # density a different last digit when OpenBLAS splits the work over threads
+    # evaluation makes no BLAS call, so holding OpenBLAS to one thread changes no
+    # byte of the grid (its marginals run once per axis value) or of the draws
     model = os.path.join(RUNS, "conditional_d2_model.json")
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join([SRC] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
@@ -727,6 +782,45 @@ def test_unallocatable_requests_exit_2(args, message, tmp_path, capsys):
     assert main([*args, "--model", os.path.join(RUNS, "uniform_d2_model.json"),
                  "--quiet", "--out", str(out)]) == 2
     assert capsys.readouterr().err == message + "\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["density", "sample", "evaluate", "train"])
+def test_bounds_whose_width_overflows_exit_2(command, tmp_path, capsys):
+    # -1e308 and 1e308 are finite, but U - L is inf: every y1 came out inf and the
+    # density 0, or the marginal net's first layer met a non-finite input
+    out = tmp_path / "out.csv"
+    if command == "train":
+        write_uniform_csv(tmp_path / "train.csv")
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({
+            "seed": 1, "data": {"path": "train.csv", "target_columns": ["y1", "y2"]},
+            "bounds": [[-1e308, 1e308], [0.0, 1.0]],
+            "training": {"max_epochs": 1, "batch_size": 128},
+        }), encoding="utf-8")
+        argv = ["train", "--config", str(cfg)]
+    else:
+        def widen(doc):
+            doc["bounds"][0] = {"lower": -1e308, "upper": 1e308}
+        model = _edited_doc(os.path.join(RUNS, "uniform_d2_model.json"), tmp_path / "m.json",
+                            widen)
+        argv = {"density": ["density", "--grid", "4"],
+                "sample": ["sample", "-n", "5", "--seed", "0"],
+                "evaluate": ["evaluate", "--data", os.path.join(ROOT, "data", "uniform_d2.csv"),
+                             "--no-energy"]}[command] + ["--model", model]
+    assert main(argv + ["--quiet", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: bounds [-1e+308, 1e+308] are wider than a float holds\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("first", ["2=0.25", "02=0.25"])
+def test_density_refuses_a_dimension_fixed_twice(first, tmp_path, capsys):
+    out = tmp_path / "grid.csv"
+    assert main(["density", "--model", os.path.join(RUNS, "uniform_d2_model.json"),
+                 "--grid", "2", "--fix", first, "--fix", "2=0.5", "--quiet",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: --fix dimension 2 given twice\n"
     assert not out.exists()
 
 

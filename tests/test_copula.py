@@ -11,6 +11,7 @@ from jdan.copula import (
     JdanModel,
     copula_cdf,
     copula_density,
+    grid_pdf,
     joint_cdf,
     joint_pdf,
     marginal_cdf_values,
@@ -328,3 +329,17 @@ def test_model_rejects_mismatched_parts():
             correlations=CorrelationParams(raw=np.zeros(0)),
             bounds=[Bounds(0.0, 1.0)],
         )
+
+
+def test_grid_pdf_gives_joint_pdf_bits_at_every_point():
+    model, _ = random_model(np.random.default_rng(12), 3)
+    axes = [np.linspace(-0.1, 1.1, 7), np.array([0.4]), np.linspace(0.0, 1.0, 5)]
+    points = np.array(list(itertools.product(*axes)))  # last axis varying fastest
+    np.testing.assert_array_equal(grid_pdf(model, axes), joint_pdf(model, points))
+
+
+def test_grid_pdf_refuses_a_per_row_model():
+    arch = unit_arch(2, hidden=(3,))
+    model = materialize(np.random.default_rng(0).normal(size=(4, arch.param_count())), arch)
+    with pytest.raises(ContractError, match="one shared parameter set"):
+        grid_pdf(model, [np.linspace(0.0, 1.0, 4)] * 2)
