@@ -57,12 +57,24 @@ def _with_parent(path):
 
 
 def _emit(args, path, parts, note=None):
-    """Write the text parts to path and say note, or to stdout when there is no path."""
+    """Write the text parts to path and say note, or to stdout when there is no path.
+
+    A file is written whole or not at all: the parts, rendered as they are
+    written, go to a temporary file beside it that replaces it once complete.
+    """
     if not path:
         sys.stdout.writelines(parts)
         return
-    with open(_with_parent(path), "w", encoding="utf-8") as fh:
-        fh.writelines(parts)
+    path = os.path.realpath(_with_parent(path))  # a symlink's target is replaced, not the link
+    tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.writelines(parts)
+        os.replace(tmp, path)
+    except BaseException:  # an interrupt too: the old file stays, and the partial one goes
+        if os.path.lexists(tmp):
+            os.unlink(tmp)
+        raise
     if note is not None:
         _say(args, note)
 

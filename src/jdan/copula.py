@@ -292,7 +292,7 @@ def sample(model: JdanModel, n, seed):
     With a sequence of seeds it is (len(seed), n, D): block r is drawn with
     seed[r] from parameter row r (or the shared set), exactly as a one-seed
     call for that row would draw it, from n * D uniforms of that seed's stream.
-    Per-row sets invert all draws at once, a shared set a block at a time.
+    Each marginal inverts all its draws in one call.
     """
     if n < 1:
         raise ContractError("need at least one sample")
@@ -311,8 +311,5 @@ def sample(model: JdanModel, n, seed):
     u = _conditional_inverse(model.correlations, v)
     if single:
         u = u[0]
-    flat = u.reshape(-1, model.dim)
-    blocks = [u] if model.rows is not None else [flat[rows] for rows in row_blocks(len(flat))]
-    cols = [np.concatenate([inverse_cdf(m, block[..., d], b) for block in blocks], axis=-1)
-            for d, (m, b) in enumerate(zip(model.marginals, model.bounds))]
-    return np.stack(cols, axis=-1).reshape(u.shape)
+    return np.stack([inverse_cdf(m, u[..., d], b)
+                     for d, (m, b) in enumerate(zip(model.marginals, model.bounds))], axis=-1)

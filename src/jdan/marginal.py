@@ -244,39 +244,79 @@ def normalized_pdf(params: MarginalNetParams, y, b: Bounds):
     return float(out) if out.ndim == 0 else out
 
 
-def inverse_cdf(params: MarginalNetParams, p, b: Bounds):
-    """Quantile function on [L, U] by safeguarded Newton (``rtsafe``).
+def _hermite(x0, x1, h, f0, f1):
+    """Coefficients of x(t) = c0 + t (c1 + t (c2 + t c3)) on each CDF table bracket.
 
-    Takes probabilities in [0, 1] shaped like ``normalized_cdf``'s points;
-    p = 0 and p = 1 give the exact bounds. One pass over the CDF table gives
-    psi(L), psi(U) and, for each p, the adjacent nodes whose F brackets it;
-    Newton starts from the secant point between them. Each step gets F and f
-    at every point from one pass; a point bisects its bracket when the Newton
-    point is not finite, leaves the bracket or fails to halve the step before
-    last. Settled points keep their y and ride along: each value depends only
-    on its own point, so they change no other point's bits. Stops once
-    |F(y) - p| <= 1e-10 everywhere, F as ``normalized_cdf`` gives it, and
-    reports the offending bracket if 200 steps are not enough.
+    x(t) is the inverse cubic Hermite interpolant (Fritsch & Carlson 1980) at
+    F = F0 + t h: it runs from x0 at F0 to x1 at F0 + h with end slopes dx/dF
+    of 1 / f0 and 1 / f1. Written with s = 1 - t, it is
+    s^2 (1 + 2t) x0 + t^2 (3 - 2t) x1 + t s (s h / f0 - t h / f1). A zero
+    density gives coefficients that are not finite.
     """
-    p_arr = np.asarray(p, dtype=np.float64)
-    if np.any((p_arr < 0.0) | (p_arr > 1.0)) or not np.all(np.isfinite(p_arr)):
-        raise ContractError("probabilities must lie in [0, 1]")
-    q, shape = _as_column(params, p_arr)
-    weights, nodes = params.effective_weights(), table_nodes(b)
-    lower, span, psi, _ = _pass(params, weights, b, q[..., :0, :], table=True)
-    table = _pinned(((psi - lower) / span).reshape(-1, TABLE_INTERVALS + 1), nodes, b)
-    flat = q.reshape(len(table), -1)  # each table row's p: (1, m) shared, (n, k) per row
-    # the node i with F[i] <= p < F[i + 1]: F is 0 at L and 1 at U, and the binary
-    # search's own comparisons keep that even where rounding leaves F unsorted by an ulp
-    i = np.stack([np.searchsorted(t, v, side="right") for t, v in zip(table, flat)])
-    i = np.clip(i - 1, 0, TABLE_INTERVALS - 1)  # p = 0 and p = 1 are settled apart
-    f_lo, f_hi = np.take_along_axis(table, i, -1), np.take_along_axis(table, i + 1, -1)
-    lo, hi = nodes[i].reshape(q.shape), nodes[i + 1].reshape(q.shape)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        m0, m1 = h / f0, h / f1
+        dx = x1 - x0
+        return x0, m0, 3.0 * dx - 2.0 * m0 - m1, m0 + m1 - 2.0 * dx
+
+
+def _brackets(table, points):
+    """A search for the node that starts each p's bracket in ``table`` (rows, TABLE_INTERVALS + 1).
+
+    That node is the last one whose running maximum of F is <= p, short of U:
+    F[i] <= p < F[i + 1] then holds on F itself, even where rounding leaves F
+    unsorted by an ulp, and i depends only on p and its row's table. The search
+    takes p (rows, k) and gives flat indices into the table. It splits [0, 1]
+    into equal cells, about one per point of a row (``points``) up to 4096, and
+    records per row the last node at or below each cell's lower edge; a point's
+    node lies between the records of its cell's two edges, and a short binary
+    search settles the few cells that hold a node.
+    """
+    rows, n = table.shape
+    top = np.maximum.accumulate(table, axis=-1)
+    cells = 2 ** min(12, max(1, (points - 1).bit_length()))
+    row = np.arange(rows)[:, None]
+    # node j is at or below edge c / cells iff ceil(F_max[j] cells) <= c, so a count per
+    # edge; edge cells + 1 closes the cell of p = 1
+    at = (np.ceil(top * cells).astype(np.intp) + row * (cells + 2)).ravel()
+    last = np.cumsum(np.bincount(at, minlength=rows * (cells + 2)).reshape(rows, -1), axis=-1)
+    last = (np.minimum(last - 1, n - 2) + row * n).ravel()  # short of U, where p = 1 lands
+    after, top = np.append(last[1:], 0), top.ravel()  # the record of each cell's upper edge
+
+    def find(p):
+        cell = (p * cells).astype(np.intp) + row * (cells + 2)
+        i, j = last[cell].ravel(), after[cell].ravel()
+        wide = np.flatnonzero(i < j)
+        lo, hi, v = i[wide], j[wide], p.ravel()[wide]
+        while np.any(lo < hi):
+            mid = (lo + hi + 1) >> 1
+            up = top[mid] <= v
+            lo, hi = np.where(up, mid, lo), np.where(up, hi, mid - 1)
+        i[wide] = lo
+        return i.reshape(p.shape)
+
+    return find
+
+
+def _settle(params, weights, b: Bounds, lower, span, bracket, p):
+    """Quantiles (rows, k) of p (rows, k) from one check pass and Newton (see ``inverse_cdf``).
+
+    ``bracket`` holds per point its bracket's left node (also the start's c0),
+    the start's c1 to c3, F at the left node, the rise in F and the right node.
+    """
+    lo, c1, c2, c3, f0, h, hi = bracket
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # h > 0 where p is live
+        t = (p - f0) / h
+        start = lo + t * (c1 + t * (c2 + t * c3))
+    off = ~((start >= lo) & (start <= hi))  # not finite, or outside the bracket
+    if off.any():
+        start[off] = lo[off] + 0.5 * (hi[off] - lo[off])
+    # as points for the net: (k, 1) for a shared set, (rows, k, 1) per row
+    q, lo, hi, start = (v.reshape(lower.shape[:-2] + (-1, 1)) for v in (p, lo, hi, start))
     live = (q > 0.0) & (q < 1.0)
-    with np.errstate(divide="ignore", invalid="ignore"):  # f_hi > f_lo wherever p is live
-        start = lo + ((flat - f_lo) / (f_hi - f_lo)).reshape(q.shape) * (hi - lo)
     x = np.where(live, start, np.where(q >= 1.0, b.upper, b.lower))
-    step, old = hi - lo, hi - lo  # |last step| and |step before last|
+    psi, _ = _psi(params, weights, x, False)
+    live &= np.abs(_pinned((psi - lower) / span, x, b) - q) > INVERT_TOL
+    step = old = hi - lo  # |last step| and |step before last|
     for _ in range(INVERT_MAX_ITERS):
         if not live.any():
             break
@@ -294,5 +334,46 @@ def inverse_cdf(params: MarginalNetParams, p, b: Bounds):
     if np.any(live):
         raise InversionError(f"quantile inversion did not converge for p={q[live][0]:.6g}",
                              bracket=(float(lo[live][0]), float(hi[live][0])))
+    return x.reshape(p.shape)
+
+
+def inverse_cdf(params: MarginalNetParams, p, b: Bounds):
+    """Quantile function on [L, U]: a Hermite start, one check, then safeguarded Newton.
+
+    Takes probabilities in [0, 1] shaped like ``normalized_cdf``'s points;
+    p = 0 and p = 1 give the exact bounds. One pass gives F and f on the CDF
+    table, with psi(L) and psi(U). Each p starts on the inverse cubic Hermite
+    interpolant (``_hermite``) of the adjacent nodes whose F brackets it, or at
+    their midpoint where that start is not finite or leaves the bracket. One
+    pass without the derivative checks the starts, a block of points at a time
+    (``copula.row_blocks``), so a call of one block makes two passes. Points
+    it leaves live run safeguarded Newton (``rtsafe``): each step gets F and f
+    from one pass, and a point bisects its bracket when the Newton point is
+    not finite, leaves the bracket or fails to halve the step before last.
+    Settled points keep their y and ride along: each value depends only on its
+    own point, so they change no other point's bits. Stops once
+    |F(y) - p| <= 1e-10 everywhere, F as ``normalized_cdf`` gives it, and
+    reports the offending bracket if 200 steps are not enough.
+    """
+    from .copula import row_blocks  # the one block rule; copula imports this module
+
+    p_arr = np.asarray(p, dtype=np.float64)
+    if not np.all((p_arr >= 0.0) & (p_arr <= 1.0)):  # NaN fails both
+        raise ContractError("probabilities must lie in [0, 1]")
+    q, shape = _as_column(params, p_arr)
+    weights, nodes = params.effective_weights(), table_nodes(b)
+    lower, span, psi, dpsi = _pass(params, weights, b, q[..., :0, :], deriv=True, table=True)
+    table = _pinned(((psi - lower) / span).reshape(-1, TABLE_INTERVALS + 1), nodes, b)
+    flat = q.reshape(len(table), -1)  # each table row's p: (1, m) shared, (n, k) per row
+    find = _brackets(table, flat.shape[-1])
+    # per table interval: the start's coefficients, F at its left node, its rise in F
+    # and its right node, side by side so that one gather serves a point
+    f, xs, table = (dpsi / span).ravel(), np.tile(nodes, len(table)), table.ravel()
+    h = np.diff(table)
+    coef = np.stack(_hermite(xs[:-1], xs[1:], h, f[:-1], f[1:]) + (table[:-1], h, xs[1:]))
+    x = np.empty(flat.shape)
+    for cols in row_blocks(flat.shape[-1], len(flat)):
+        x[:, cols] = _settle(params, weights, b, lower, span, coef[:, find(flat[:, cols])],
+                             flat[:, cols])
     out = x.reshape(shape)
     return float(out) if out.ndim == 0 else out

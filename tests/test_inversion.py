@@ -8,15 +8,21 @@ answers agree to 2 * INVERT_TOL in probability.
 Newton carries the last-bit noise of F into y, so a shared parameter set
 must give every point the same F whichever points share the call; the
 block-against-one-point tests check that bitwise.
+
+On the bundled models each start from the table already meets the tolerance,
+so a call makes two net passes; the pass tests pin that, and a broken start
+shows there as extra Newton passes, since Newton still finds the quantiles.
 """
+
+import os
 
 import numpy as np
 import pytest
 
 from jdan import marginal
-from jdan.copula import joint_pdf
+from jdan.copula import joint_pdf, sample
 from jdan.errors import InversionError
-from jdan.hypernet import ArchitectureDescriptor, materialize
+from jdan.hypernet import ArchitectureDescriptor, flatten, materialize
 from jdan.marginal import (
     INVERT_MAX_ITERS,
     INVERT_TOL,
@@ -25,7 +31,10 @@ from jdan.marginal import (
     inverse_cdf,
     normalized_cdf,
     normalized_pdf,
+    positivity_map,
+    table_nodes,
 )
+from jdan.model_io import load_model
 
 from conftest import random_model
 
@@ -89,8 +98,8 @@ def test_newton_agrees_with_bisection_oracle(activation, rows, hidden):
 
 
 def test_newton_needs_few_passes(monkeypatch):
-    # bisection spends ~33 CDF evaluations per call; Newton started at the table's
-    # secant point needs two or three passes (four or five from L + p (U - L))
+    # bisection spends ~33 CDF evaluations per call; a Hermite start from the table and
+    # one check pass settle most points, and Newton needs at most two passes more
     model = make_model("sigmoid", (8,), None, seed=3)
     passes = []
     psi = marginal._psi
@@ -157,3 +166,95 @@ def test_empty_points_give_empty_arrays(rows):
         for f in (inverse_cdf, normalized_cdf, normalized_pdf):
             out = f(m, empty, b)
             assert isinstance(out, np.ndarray) and out.shape == empty.shape
+
+
+RUNS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "runs")
+
+
+def bundled(name, rows):
+    """A bundled model's shared set, or a block of `rows` parameter sets."""
+    fc, _ = load_model(os.path.join(RUNS, f"{name}_model.json"))
+    x = np.linspace(-1.0, 1.0, rows or 1)[:, None]  # the conditional data's feature range
+    if fc.conditional:
+        return fc.model_for(x[0] if rows is None else x)
+    model = fc.model_for()
+    return model if rows is None else materialize(np.tile(flatten(model), (rows, 1)), fc.arch)
+
+
+def count_passes(monkeypatch):
+    """Record (points per parameter row, with the derivative?) for every marginal net pass."""
+    passes = []
+    psi = marginal._psi
+
+    def counted(params, weights, a, deriv):
+        passes.append((a.shape[-2], deriv))
+        return psi(params, weights, a, deriv)
+
+    monkeypatch.setattr(marginal, "_psi", counted)
+    return passes
+
+
+def quantile_probs(rows, seed):
+    """The edges and 4000 uniform probabilities: (4009,) shared, or (rows, 200) per row."""
+    rng = np.random.default_rng(seed)
+    if rows is None:
+        return np.concatenate([EDGE_PROBS, rng.random(4000)])
+    return np.concatenate([np.tile(EDGE_PROBS, (rows, 1)), rng.random((rows, 191))], axis=1)
+
+
+def assert_matches_oracle(m, b, p, got):
+    back = normalized_cdf(m, got, b)
+    assert np.max(np.abs(back - p)) <= INVERT_TOL
+    want = bisect_inverse_cdf(m, p, b)
+    assert np.max(np.abs(back - normalized_cdf(m, want, b))) <= 2.0 * INVERT_TOL
+
+
+@pytest.mark.parametrize("rows", [None, 20], ids=["shared", "per_row"])
+@pytest.mark.parametrize("name", ["uniform_d2", "conditional_d2"])
+def test_bundled_models_invert_in_two_passes(monkeypatch, name, rows):
+    model = bundled(name, rows)
+    p = quantile_probs(rows, seed=1)
+    passes = count_passes(monkeypatch)
+    for m, b in zip(model.marginals, model.bounds):
+        passes.clear()
+        inverse_cdf(m, p, b)
+        # the table with the derivative, then one check of every point without it
+        assert passes == [(TABLE_INTERVALS + 1, True), (p.shape[-1], False)]
+    if rows is None:  # a call of many blocks checks each block once, and builds one table
+        passes.clear()
+        sample(model, 10000, seed=2)
+        assert [k for k, deriv in passes if deriv] == [TABLE_INTERVALS + 1] * 2
+        assert sum(k for k, deriv in passes if not deriv) == 2 * 10000
+
+
+@pytest.mark.parametrize("name", ["uniform_d2", "conditional_d2"])
+def test_start_with_density_for_its_reciprocal_costs_passes_not_quantiles(monkeypatch, name):
+    # a mutant start that uses f where the interpolant's end slopes are 1 / f: Newton still
+    # finds every quantile, and only the pass count shows the broken start
+    hermite = marginal._hermite
+    monkeypatch.setattr(marginal, "_hermite",
+                        lambda x0, x1, h, f0, f1: hermite(x0, x1, h, 1.0 / f0, 1.0 / f1))
+    model = bundled(name, None)
+    p = quantile_probs(None, seed=3)
+    passes = count_passes(monkeypatch)
+    for m, b in zip(model.marginals, model.bounds):
+        passes.clear()
+        assert_matches_oracle(m, b, p, inverse_cdf(m, p, b))
+        assert len(passes) > 2
+
+
+@pytest.mark.parametrize("rows", [None, 3], ids=["shared", "per_row"])
+def test_zero_density_nodes_start_at_the_bracket_midpoint(rows):
+    # every relu unit is off below y0, so F and f are 0 on the table nodes there and the
+    # bracket of a small p has f = 0 at its left node: the start divides by zero
+    model = make_model("relu", (4,), rows, seed=7)
+    p = quantile_probs(rows, seed=4)
+    for d, (m, b) in enumerate(zip(model.marginals, model.bounds)):
+        w = positivity_map(m.raw_weights[0])[..., 0]
+        y0 = b.lower + b.width * np.linspace(0.3, 0.6, w.shape[-1]) * (1.0 + 0.1 * d)
+        m.biases[0] = -w * y0  # unit j turns on at y0[j]
+        nodes = np.broadcast_to(table_nodes(b), p.shape[:-1] + (TABLE_INTERVALS + 1,))
+        assert np.all(np.any(normalized_pdf(m, nodes, b) == 0.0, axis=-1))
+        got = inverse_cdf(m, p, b)
+        assert np.all(got[p == 0.0] == b.lower) and np.all(got[p == 1.0] == b.upper)
+        assert_matches_oracle(m, b, p, got)
