@@ -12,21 +12,21 @@ import itertools
 import json
 import numbers
 import os
+import shutil
 import sys
 
 import numpy as np
 
 from . import model_io
 from .activations import KINDS
-from .copula import (grid_pdf, joint_cdf, joint_pdf, mixed_partial_fd, row_blocks,
-                     sample as model_sample)
+from .copula import grid_pdf, joint_cdf, joint_pdf, mixed_partial_fd, sample as model_sample
 from .data import ColumnScaler, LoadSpec, fit_bounds, load_csv
 from .errors import ConfigError, ContractError, DataError, JdanError
 from .hypernet import ArchitectureDescriptor, Forecaster
 from .marginal import inverse_cdf, normalized_cdf
 from .metrics import evaluate_forecaster
 from .miso import find_negative_witness
-from .numerics import simpson
+from .numerics import row_blocks, simpson
 from .training import TrainConfig, train
 
 # the keys each config section accepts; any other key is a usage error
@@ -56,25 +56,38 @@ def _with_parent(path):
     return path
 
 
-def _emit(args, path, parts, note=None):
-    """Write the text parts to path and say note, or to stdout when there is no path.
-
-    A file is written whole or not at all: the parts, rendered as they are
-    written, go to a temporary file beside it that replaces it once complete.
-    """
-    if not path:
-        sys.stdout.writelines(parts)
-        return
-    path = os.path.realpath(_with_parent(path))  # a symlink's target is replaced, not the link
+def _replace(path, parts):
+    """Write the parts to a temporary file beside path, then move it over path."""
     tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
             fh.writelines(parts)
+        if os.path.exists(path):
+            shutil.copymode(path, tmp)
         os.replace(tmp, path)
     except BaseException:  # an interrupt too: the old file stays, and the partial one goes
         if os.path.lexists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _emit(args, path, parts, note=None):
+    """Write the text parts to path and say note, or to stdout when there is no path.
+
+    A file is written whole or not at all: the parts, rendered as they are
+    written, go to a temporary file beside it that takes its mode and replaces
+    it once complete. A path that names something other than a file (a
+    device, a FIFO, a terminal) is written in place, as there is nothing to replace.
+    """
+    if not path:
+        sys.stdout.writelines(parts)
+        return
+    path = _with_parent(path)
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(parts)
+    else:
+        _replace(os.path.realpath(path), parts)  # a symlink's target is replaced, not the link
     if note is not None:
         _say(args, note)
 

@@ -38,15 +38,6 @@ from .errors import BracketError, ContractError, EvaluationError
 from .marginal import inverse_cdf, normalize, normalized_cdf
 
 MAX_DIM = 12  # pairs grow quadratically; desk-scale cap
-# points per block wherever a batched call meets many points (read at call time): small
-# arrays reuse their memory
-BLOCK_POINTS = 4096
-
-
-def row_blocks(n, points_per_row=1):
-    """Slices of n rows, each holding about BLOCK_POINTS points (at least one row)."""
-    step = max(1, BLOCK_POINTS // points_per_row)
-    return [slice(lo, lo + step) for lo in range(0, n, step)]
 
 
 def n_pairs(dim):

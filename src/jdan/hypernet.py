@@ -22,9 +22,10 @@ import numpy as np
 
 from . import activations
 from . import autodiff as ad
-from .copula import MAX_DIM, CorrelationParams, JdanModel, n_pairs, row_blocks
+from .copula import MAX_DIM, CorrelationParams, JdanModel, n_pairs
 from .errors import ConfigError, ContractError, EvaluationError
 from .marginal import Bounds, MarginalNetParams
+from .numerics import row_blocks
 
 DEFAULT_MARGINAL_HIDDEN = [10, 10]
 DEFAULT_HYPERNET_HIDDEN = [64, 64]

@@ -36,6 +36,7 @@ from .errors import (
     EvaluationError,
     InversionError,
 )
+from .numerics import row_blocks
 
 WEIGHT_EPS = 1e-6       # floor added to softplus so weights stay strictly positive
 DENOM_EPS = 1e-12       # below this the marginal is considered flat, hence broken
@@ -259,44 +260,6 @@ def _hermite(x0, x1, h, f0, f1):
         return x0, m0, 3.0 * dx - 2.0 * m0 - m1, m0 + m1 - 2.0 * dx
 
 
-def _brackets(table, points):
-    """A search for the node that starts each p's bracket in ``table`` (rows, TABLE_INTERVALS + 1).
-
-    That node is the last one whose running maximum of F is <= p, short of U:
-    F[i] <= p < F[i + 1] then holds on F itself, even where rounding leaves F
-    unsorted by an ulp, and i depends only on p and its row's table. The search
-    takes p (rows, k) and gives flat indices into the table. It splits [0, 1]
-    into equal cells, about one per point of a row (``points``) up to 4096, and
-    records per row the last node at or below each cell's lower edge; a point's
-    node lies between the records of its cell's two edges, and a short binary
-    search settles the few cells that hold a node.
-    """
-    rows, n = table.shape
-    top = np.maximum.accumulate(table, axis=-1)
-    cells = 2 ** min(12, max(1, (points - 1).bit_length()))
-    row = np.arange(rows)[:, None]
-    # node j is at or below edge c / cells iff ceil(F_max[j] cells) <= c, so a count per
-    # edge; edge cells + 1 closes the cell of p = 1
-    at = (np.ceil(top * cells).astype(np.intp) + row * (cells + 2)).ravel()
-    last = np.cumsum(np.bincount(at, minlength=rows * (cells + 2)).reshape(rows, -1), axis=-1)
-    last = (np.minimum(last - 1, n - 2) + row * n).ravel()  # short of U, where p = 1 lands
-    after, top = np.append(last[1:], 0), top.ravel()  # the record of each cell's upper edge
-
-    def find(p):
-        cell = (p * cells).astype(np.intp) + row * (cells + 2)
-        i, j = last[cell].ravel(), after[cell].ravel()
-        wide = np.flatnonzero(i < j)
-        lo, hi, v = i[wide], j[wide], p.ravel()[wide]
-        while np.any(lo < hi):
-            mid = (lo + hi + 1) >> 1
-            up = top[mid] <= v
-            lo, hi = np.where(up, mid, lo), np.where(up, hi, mid - 1)
-        i[wide] = lo
-        return i.reshape(p.shape)
-
-    return find
-
-
 def _settle(params, weights, b: Bounds, lower, span, bracket, p):
     """Quantiles (rows, k) of p (rows, k) from one check pass and Newton (see ``inverse_cdf``).
 
@@ -346,7 +309,7 @@ def inverse_cdf(params: MarginalNetParams, p, b: Bounds):
     interpolant (``_hermite``) of the adjacent nodes whose F brackets it, or at
     their midpoint where that start is not finite or leaves the bracket. One
     pass without the derivative checks the starts, a block of points at a time
-    (``copula.row_blocks``), so a call of one block makes two passes. Points
+    (``numerics.row_blocks``), so a call of one block makes two passes. Points
     it leaves live run safeguarded Newton (``rtsafe``): each step gets F and f
     from one pass, and a point bisects its bracket when the Newton point is
     not finite, leaves the bracket or fails to halve the step before last.
@@ -355,8 +318,6 @@ def inverse_cdf(params: MarginalNetParams, p, b: Bounds):
     |F(y) - p| <= 1e-10 everywhere, F as ``normalized_cdf`` gives it, and
     reports the offending bracket if 200 steps are not enough.
     """
-    from .copula import row_blocks  # the one block rule; copula imports this module
-
     p_arr = np.asarray(p, dtype=np.float64)
     if not np.all((p_arr >= 0.0) & (p_arr <= 1.0)):  # NaN fails both
         raise ContractError("probabilities must lie in [0, 1]")
@@ -365,7 +326,12 @@ def inverse_cdf(params: MarginalNetParams, p, b: Bounds):
     lower, span, psi, dpsi = _pass(params, weights, b, q[..., :0, :], deriv=True, table=True)
     table = _pinned(((psi - lower) / span).reshape(-1, TABLE_INTERVALS + 1), nodes, b)
     flat = q.reshape(len(table), -1)  # each table row's p: (1, m) shared, (n, k) per row
-    find = _brackets(table, flat.shape[-1])
+    # the node i with F[i] <= p < F[i + 1], short of U where p = 1 lands: the last node
+    # whose running maximum of F is <= p, which keeps that even where rounding leaves F
+    # unsorted by an ulp; as a flat index into the table
+    top = np.maximum.accumulate(table, axis=-1)
+    i = np.stack([np.searchsorted(t, v, side="right") for t, v in zip(top, flat)])
+    i = np.minimum(i - 1, TABLE_INTERVALS - 1) + (TABLE_INTERVALS + 1) * np.arange(len(i))[:, None]
     # per table interval: the start's coefficients, F at its left node, its rise in F
     # and its right node, side by side so that one gather serves a point
     f, xs, table = (dpsi / span).ravel(), np.tile(nodes, len(table)), table.ravel()
@@ -373,7 +339,7 @@ def inverse_cdf(params: MarginalNetParams, p, b: Bounds):
     coef = np.stack(_hermite(xs[:-1], xs[1:], h, f[:-1], f[1:]) + (table[:-1], h, xs[1:]))
     x = np.empty(flat.shape)
     for cols in row_blocks(flat.shape[-1], len(flat)):
-        x[:, cols] = _settle(params, weights, b, lower, span, coef[:, find(flat[:, cols])],
+        x[:, cols] = _settle(params, weights, b, lower, span, coef[:, i[:, cols]],
                              flat[:, cols])
     out = x.reshape(shape)
     return float(out) if out.ndim == 0 else out

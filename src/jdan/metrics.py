@@ -2,7 +2,7 @@
 
 Every metric evaluates all rows at once: a conditional forecaster yields
 one per-row parameter block for the rows' features, which is scored a
-block of rows at a time (``copula.row_blocks``). Every row is reduced on
+block of rows at a time (``numerics.row_blocks``). Every row is reduced on
 its own, so no score depends on the block size.
 
 Bounds policy: the model's support is fixed at training time. Test targets
@@ -18,12 +18,12 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .copula import joint_pdf, row_blocks, sample as copula_sample
+from .copula import joint_pdf, sample as copula_sample
 from .data import clamp_to_bounds, in_bounds_mask
 from .errors import ContractError
 from .hypernet import Forecaster
 from .marginal import TABLE_INTERVALS, cdf_table, normalized_cdf, table_nodes
-from .numerics import ks_statistic, simpson
+from .numerics import ks_statistic, row_blocks, simpson
 from .training import LOG_EPS
 
 

@@ -1,6 +1,16 @@
-"""Shared numerical helpers: stable elementwise maps and small quadratures."""
+"""Shared numerical helpers: the block rule, stable elementwise maps and small quadratures."""
 
 import numpy as np
+
+# points per block wherever a batched call meets many points (read at call time): small
+# arrays reuse their memory
+BLOCK_POINTS = 4096
+
+
+def row_blocks(n, points_per_row=1):
+    """Slices of n rows, each holding about BLOCK_POINTS points (at least one row)."""
+    step = max(1, BLOCK_POINTS // points_per_row)
+    return [slice(lo, lo + step) for lo in range(0, n, step)]
 
 
 def sigmoid(x):

@@ -16,7 +16,7 @@ import os
 import numpy as np
 import pytest
 
-from jdan import copula, metrics
+from jdan import metrics, numerics
 from jdan.cli import main
 from jdan.copula import joint_pdf, sample
 from jdan.data import load_csv
@@ -112,11 +112,11 @@ def norm_energy(model, targets, m_samples, seed):
     n = targets.shape[0]
     row_seeds = np.random.SeedSequence(seed).spawn(n)
     out = np.empty(n)
-    for rows in copula.row_blocks(n, m_samples):
+    for rows in numerics.row_blocks(n, m_samples):
         s = sample(model.take(rows), m_samples, row_seeds[rows])
         to_obs = np.linalg.norm(s - targets[rows, None, :], axis=-1).mean(axis=-1)
         spread = np.empty_like(to_obs)
-        for pairs in copula.row_blocks(s.shape[0], m_samples**2):
+        for pairs in numerics.row_blocks(s.shape[0], m_samples**2):
             t = s[pairs]
             dist = np.linalg.norm(t[:, :, None, :] - t[:, None, :, :], axis=-1)
             spread[pairs] = dist.reshape(t.shape[0], -1).sum(axis=-1)
@@ -250,7 +250,7 @@ def test_batched_joint_pdf_matches_per_row_models(dim, activation):
 @pytest.mark.parametrize("n_rows", [1, 41])
 @pytest.mark.parametrize("conditional", [True, False], ids=["conditional", "unconditional"])
 def test_chunk_boundaries(monkeypatch, conditional, n_rows, block_points):
-    monkeypatch.setattr(copula, "BLOCK_POINTS", block_points)
+    monkeypatch.setattr(numerics, "BLOCK_POINTS", block_points)
     fc = make_forecaster(conditional, 2, "sigmoid", seed=3)
     targets, features = make_rows(fc, n_rows, seed=4, outside=0.0 if n_rows == 1 else 0.1)
     assert_matches_reference(fc, targets, features)
@@ -259,7 +259,7 @@ def test_chunk_boundaries(monkeypatch, conditional, n_rows, block_points):
 @pytest.mark.parametrize("block_points", [16384, 30])
 @pytest.mark.parametrize("conditional", [True, False], ids=["conditional", "unconditional"])
 def test_energy_score_matches_per_row_sampler(monkeypatch, conditional, block_points):
-    monkeypatch.setattr(copula, "BLOCK_POINTS", block_points)
+    monkeypatch.setattr(numerics, "BLOCK_POINTS", block_points)
     fc = make_forecaster(conditional, 2, "tanh", seed=5)
     targets, features = make_rows(fc, 9, seed=6)
     got = metrics.energy_score(fc, targets, features, m_samples=12, seed=7)
@@ -271,7 +271,7 @@ def test_energy_score_matches_per_row_sampler(monkeypatch, conditional, block_po
 @pytest.mark.parametrize("m", [2, 3, 65, 200])
 @pytest.mark.parametrize("dim", [2, 3, 9])
 def test_energy_score_is_bitwise_the_norm_form(monkeypatch, dim, m, block_points):
-    monkeypatch.setattr(copula, "BLOCK_POINTS", block_points)
+    monkeypatch.setattr(numerics, "BLOCK_POINTS", block_points)
     arch = unit_arch(dim, hidden=(4,), feature_dim=2, hyper=(6,))
     rng = np.random.default_rng(dim * 1000 + m)
     model = Forecaster(initialize_net(arch, seed=dim), arch).model_for(rng.normal(size=(5, 2)))
@@ -381,7 +381,7 @@ def test_reports_do_not_depend_on_block_size(monkeypatch, name):
                         lambda *a: cdf_calls.append(1) or normalized_cdf(*a))
     reports, calls = [], []
     for block_points in (16384, 4096, 1000, 5):
-        monkeypatch.setattr(copula, "BLOCK_POINTS", block_points)
+        monkeypatch.setattr(numerics, "BLOCK_POINTS", block_points)
         cdf_calls.clear()
         report = metrics.evaluate_forecaster(fc, ds.targets[:300], features, m_samples=50, seed=1)
         reports.append(report.to_json())
@@ -397,5 +397,5 @@ def test_row_parameters_do_not_depend_on_the_block(monkeypatch):
     x = load_csv(os.path.join(ROOT, "data", "conditional_d2.csv"), load_spec_from_doc(doc)).features
     alone = np.array([flatten(fc.model_for(row)) for row in x])
     for block_points in (5, 100, 4096, 2**20):
-        monkeypatch.setattr(copula, "BLOCK_POINTS", block_points)
+        monkeypatch.setattr(numerics, "BLOCK_POINTS", block_points)
         assert int(np.sum(flatten(fc.model_for(x)) != alone)) == 0, block_points

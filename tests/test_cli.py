@@ -4,6 +4,7 @@ import csv
 import itertools
 import json
 import os
+import stat
 import subprocess
 import sys
 
@@ -239,6 +240,7 @@ def test_output_files_are_all_or_nothing(trained, tmp_path, monkeypatch, fault, 
     out = tmp_path / "draws.csv"
     if old is not None:
         out.write_bytes(old)
+        out.chmod(0o640)  # the new file takes the old one's mode
     render = cli._csv
 
     def failing(*args):
@@ -262,7 +264,33 @@ def test_output_files_are_all_or_nothing(trained, tmp_path, monkeypatch, fault, 
         assert not out.exists()
     else:
         assert out.read_bytes() == old
+    if old is not None:
+        assert stat.S_IMODE(os.stat(out).st_mode) == 0o640
     assert os.listdir(tmp_path) == (["draws.csv"] if out.exists() else [])
+
+
+@pytest.mark.parametrize("via_link", [False, True], ids=["fifo", "link_to_fifo"])
+def test_output_to_a_fifo_is_written_in_place(trained, tmp_path, via_link):
+    # a FIFO (or a symlink to one) stays a FIFO and its reader gets the bytes a file gets;
+    # the output is smaller than a pipe's buffer, so the writer never waits for the read
+    argv = ["sample", "--model", trained["model"], "-n", "50", "--seed", "5", "--quiet"]
+    assert main(argv + ["--out", str(tmp_path / "file.csv")]) == 0
+    fifo = tmp_path / "draws.fifo"
+    os.mkfifo(fifo)
+    out = fifo
+    if via_link:
+        out = tmp_path / "draws.csv"
+        out.symlink_to(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # a reader, so the writer's open returns
+    try:
+        assert main(argv + ["--out", str(out)]) == 0
+        got = b"".join(iter(lambda: os.read(reader, 1 << 16), b""))
+    finally:
+        os.close(reader)
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert got == (tmp_path / "file.csv").read_bytes()
+    assert sorted(os.listdir(tmp_path)) == sorted(["file.csv", "draws.fifo"]
+                                                  + (["draws.csv"] if via_link else []))
 
 
 def per_cell_csv(header, table):
