@@ -145,12 +145,16 @@ def _psi(params, weights, a, deriv):
     parameters (see ``autodiff.affine``), so row i of a block gives the bits
     of the one-row set made of row i's parameters alone.
     """
-    d = np.ones(a.shape) if deriv else None
+    d = None
     last = len(weights) - 1
     for k, (w, b) in enumerate(zip(weights, params.biases)):
         pre = ad.affine(a, w, b)
-        if deriv:
+        if deriv and d is not None:
             d = ad.affine(d, w)
+        elif deriv and isinstance(w, ad.Tensor):
+            d = ad.affine(np.ones(a.shape), w)
+        elif deriv:  # affine(ones, w) exactly: each input is 1.0, and there is no bias
+            d = np.broadcast_to(w[..., None, :, 0], pre.shape)
         if k < last:
             a = activations.apply(params.activation, pre)
             if deriv:
