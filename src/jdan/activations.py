@@ -35,7 +35,7 @@ def apply(kind, x):
     """z(x) for an ndarray or a tape node; DomainError on non-finite input."""
     if kind not in KINDS:
         raise ContractError(f"unknown activation kind {kind!r}; expected one of {KINDS}")
-    if not np.all(np.isfinite(ad.value(x))):
+    if not np.isfinite(ad.value(x)).all():
         raise DomainError(f"non-finite input to activation {kind!r}")
     return _TABLE[kind][0](x)
 

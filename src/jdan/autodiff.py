@@ -153,9 +153,19 @@ def affine(a, w, b=None):
     rows in the call as a BLAS product's does. Tape nodes take the matmul.
     """
     if not any(isinstance(x, Tensor) for x in (a, w, b)):
-        at = a.T if a.ndim == 2 else a.transpose(2, 0, 1)  # one plane per input unit
-        out = ordered_affine(np.ascontiguousarray(at), w, b)
-        return out.T if out.ndim == 2 else out.transpose(1, 2, 0)
+        # one plane per input unit, the longer points axis last: the rows, when a block
+        # holds fewer points per row than rows
+        if w.ndim == 2:
+            perm, wt, bt = (1, 0), w.T[:, :, None], (None if b is None else b[:, None])
+        else:
+            if a.ndim == 2:  # one set of points under every row's weights
+                a = np.broadcast_to(a, w.shape[:1] + a.shape)
+            rows_last = a.shape[1] < a.shape[0]
+            perm = (2, 1, 0) if rows_last else (2, 0, 1)
+            wt = w.transpose(2, 1, 0)[:, :, None] if rows_last else w.transpose(2, 1, 0)[..., None]
+            bt = None if b is None else (b.T[:, None] if rows_last else b.T[:, :, None])
+        out = ordered_affine(np.ascontiguousarray(a.transpose(perm)), wt, bt)
+        return out.transpose(np.argsort(perm))
     av, wv = value(a), value(w)
     out = av @ np.swapaxes(wv, -1, -2)
     edges = [(a, lambda g: _unbroadcast(g @ wv, np.shape(av))),
@@ -167,19 +177,14 @@ def affine(a, w, b=None):
     return _node(out, *edges)
 
 
-def ordered_affine(at, w, b=None):
+def ordered_affine(at, wt, bt=None):
     """One plain layer with the points on the last axes: at (in, ...) -> (out, ...).
 
-    w (out, in) is shared by points at[j] of shape (m,); per-row w
-    (n, out, in) and b (n, out) take points at[j] of shape (n, k) or (k,). Every
-    output sums its inputs in order j = 0, 1, ... and then adds b, so each
-    point's value depends on nothing but that point and its row's
+    wt[j] and bt broadcast against the plane at[j] to the output's shape.
+    Every output sums its inputs in order j = 0, 1, ... and then adds bt, so
+    each point's value depends on nothing but that point and its row's
     parameters, and a one-row shared set gives the bits of its row in a block.
     """
-    if w.ndim == 2:
-        wt, bt = w.T[:, :, None], (None if b is None else b[:, None])
-    else:
-        wt, bt = w.transpose(2, 1, 0)[..., None], (None if b is None else b.T[:, :, None])
     out = wt[0] * at[0]
     if len(at) > 1:
         tmp = np.empty_like(out)
@@ -193,6 +198,16 @@ def ordered_affine(at, w, b=None):
 def reshape(a, shape):
     av = value(a)
     return _node(np.reshape(av, shape), (a, lambda g: g.reshape(np.shape(av))))
+
+
+def broadcast_to(a, shape):
+    av = value(a)
+    return _node(np.broadcast_to(av, shape), (a, lambda g: _unbroadcast(g, np.shape(av))))
+
+
+def custom(a, out, bwd):
+    """out, computed from a outside the tape, as a node whose backward is bwd: out's gradient -> a's."""
+    return _node(out, (a, bwd))
 
 
 def getitem(a, idx):

@@ -17,10 +17,12 @@ Differentiating through all coordinates gives the closed-form density
 
 on the unit cube, bounded by (0, 2), and the joint density is c at the
 marginal CDF values times the product of marginal densities. One core,
-``_density``, evaluates it for ``joint_pdf``'s points (and training) and for
-``grid_pdf``'s tensor grids, where each marginal factor runs once per axis
-value. A finite difference mixed-partial oracle is included so the closed
-form can always be checked against the CDF it claims to differentiate.
+``_density``, evaluates it for ``joint_pdf``'s points and for ``grid_pdf``'s
+tensor grids, where each marginal factor runs once per axis value.
+``combine`` forms the product, for training's density node as well, and
+``combine_adjoint`` is its hand-written adjoint. A finite difference
+mixed-partial oracle is included so the closed form can always be checked
+against the CDF it claims to differentiate.
 
 A model holds either one shared parameter set or a block of n per-row sets
 (see ``marginal``). A per-row model takes exactly n points, shape (n, D),
@@ -185,21 +187,61 @@ def _density(model: JdanModel, cols):
     """
     box = [np.clip(y, b.lower, b.upper) for y, b in zip(cols, model.bounds)]
     cdfs, pdfs = zip(*(normalize(m, y, b) for y, m, b in zip(box, model.marginals, model.bounds)))
-    dens = 1.0 + _pair_mean(model.correlations, [1.0 - 2.0 * f for f in cdfs])
-    for pdf in pdfs:
-        dens = dens * pdf
+    dens = combine(model.correlations, cdfs, pdfs)
     inside = functools.reduce(np.logical_and, [y == c for y, c in zip(box, cols)])
     if not inside.all():
         dens = dens * inside
     return dens
 
 
+def combine(corr: CorrelationParams, cdfs, pdfs):
+    """c(F) times the marginal densities, multiplied in dimension order: the joint density."""
+    dens = 1.0 + _pair_mean(corr, [1.0 - 2.0 * f for f in cdfs])
+    for pdf in pdfs:
+        dens = dens * pdf
+    return dens
+
+
+def _tanh_slope(c):
+    """d tanh(raw) / d raw, from c = tanh(raw)."""
+    return 1.0 - c * c
+
+
+def combine_adjoint(corr: CorrelationParams, cdfs, pdfs, g):
+    """Gradients of the raw correlations, the D CDF values and the D densities, given g on ``combine``'s.
+
+    Plain arrays only. With v_d = 1 - 2 F_d, C = tanh(raw) and
+    c = 1 + mean over pairs k = (d, i) of C_k v_d v_i, the density is c times
+    the product of the f_d. Each f_d's gradient takes the product of the other
+    densities, never the density over f_d, since f can be 0. A shared set
+    (one row of correlations) sums over the points.
+    """
+    pairs, dim = pair_indices(len(cdfs)), len(cdfs)
+    c = corr.effective()
+    v = [1.0 - 2.0 * f for f in cdfs]
+    before, after = [1.0] * dim, [1.0] * dim  # products of the densities below and above d
+    for d in range(1, dim):
+        before[d] = before[d - 1] * pdfs[d - 1]
+        after[dim - 1 - d] = after[dim - d] * pdfs[dim - d]
+    g_mean = g * before[-1] * pdfs[-1] / len(pairs)  # the gradient of each pair term
+    g_c = g * (1.0 + _pair_mean(corr, v))
+    g_pdfs = [g_c * lo * hi for lo, hi in zip(before, after)]
+    g_v = [0.0] * dim
+    for k, (d, i) in enumerate(pairs):
+        g_v[d] = g_v[d] + c[..., k] * v[i]
+        g_v[i] = g_v[i] + c[..., k] * v[d]
+    g_raw = np.stack([g_mean * v[d] * v[i] for d, i in pairs], axis=-1) * _tanh_slope(c)
+    return (g_raw if corr.rows is not None else g_raw.sum(axis=0),
+            [-2.0 * g_mean * gv for gv in g_v], g_pdfs)
+
+
 def joint_pdf(model: JdanModel, y):
     """Joint density: copula density at the CDF values times marginal densities.
 
     Points outside the box have density 0. The model's parameters may be
-    tape nodes, and then so is the result: this is the function training
-    differentiates, for points that all lie inside the box.
+    tape nodes, and then so is the result. Training's density node runs the
+    same kernels on plain arrays (see ``training``); this taped form is the
+    oracle its gradient is tested against.
     """
     pts, scalar = _as_points(y, model.dim, model.rows)
     dens = _density(model, list(pts.T))

@@ -100,15 +100,15 @@ def materialize(raw, arch: ArchitectureDescriptor) -> JdanModel:
     The raw vector may be a tape node, and then so are the model's parameters.
     """
     raw = ad.array(raw)
-    if raw.ndim not in (1, 2) or raw.shape[-1] != arch.param_count():
+    spans, corr_span = arch.partition()
+    if raw.ndim not in (1, 2) or raw.shape[-1] != corr_span[1]:
         raise ContractError(
             f"raw parameters have shape {raw.shape}; architecture needs "
-            f"({arch.param_count()},) or (n, {arch.param_count()})"
+            f"({corr_span[1]},) or (n, {corr_span[1]})"
         )
     if not np.all(np.isfinite(ad.value(raw))):
         raise ConfigError("raw parameters must be finite")
     lead = raw.shape[:-1]
-    spans, corr_span = arch.partition()
     marginals = []
     for d, (w_spans, b_spans) in enumerate(spans):
         weights = [raw[..., a:b].reshape(lead + shape) for a, b, shape in w_spans]
@@ -127,11 +127,19 @@ def materialize(raw, arch: ArchitectureDescriptor) -> JdanModel:
 
 def flatten(model: JdanModel) -> np.ndarray:
     """Inverse of materialize: concatenate raw parameters in partition order."""
+    return raw_block([(m.raw_weights, m.biases) for m in model.marginals], model.correlations.raw)
+
+
+def raw_block(marginals, corr):
+    """Each marginal's (weights, biases) and then corr, concatenated in partition order.
+
+    Arrays with a leading row axis give an (n, P) block, shared ones a (P,) vector.
+    """
     chunks = []
-    for m in model.marginals:
-        chunks.extend(w.reshape(w.shape[:-2] + (-1,)) for w in m.raw_weights)
-        chunks.extend(m.biases)
-    chunks.append(model.correlations.raw)
+    for weights, biases in marginals:
+        chunks.extend(w.reshape(w.shape[:-2] + (-1,)) for w in weights)
+        chunks.extend(biases)
+    chunks.append(corr)
     return np.concatenate(chunks, axis=-1)
 
 

@@ -14,14 +14,15 @@ Parameters are either one shared set, weights (out, in) and biases (out,),
 or a block of n per-row sets, weights (n, out, in) and biases (n, out). With
 a block, every function here takes points whose leading axis has length n,
 shape (n,) or (n, k), and evaluates row i's points under row i's parameters.
-The parameters may also be tape nodes (see ``autodiff``): ``normalize`` is
-then the same code differentiated for training. Points are always plain
-arrays.
+The parameters may also be tape nodes (see ``autodiff``), and ``normalize``
+then gives tape nodes. Training instead runs ``normalize`` on plain arrays,
+recording the pass, and differentiates it with ``normalize_adjoint``, a
+hand-written adjoint of the layer recursion. Points are always plain arrays.
 
 One helper, ``_pass``, finds psi(L), psi(U) and the span, and is the only
 check of the span: it runs the net once over nodes from exactly L to exactly
 U and then the caller's points. Each CDF, density or table call is one such
-pass; ``normalize`` makes two (see there).
+pass.
 """
 
 from dataclasses import dataclass
@@ -136,7 +137,7 @@ def _as_column(params, y):
     return y.reshape(params.rows, -1, 1), y.shape
 
 
-def _psi(params, weights, a, deriv):
+def _psi(params, weights, a, deriv, record=None):
     """psi at column points a and, with deriv, d psi / dy there (else None).
 
     The chain rule runs layer by layer beside the forward pass, so the
@@ -144,26 +145,76 @@ def _psi(params, weights, a, deriv):
     plain parameters, each value depends only on its point and its row's
     parameters (see ``autodiff.affine``), so row i of a block gives the bits
     of the one-row set made of row i's parameters alone.
+
+    Given a list, record gets one entry per layer, (w, a, d, pre, e, z, s),
+    for ``normalize_adjoint``: the layer's weights, its value input a and
+    derivative input d (None in the first layer, where it is all ones), its
+    pre-activation and derivative pre-activation e = d w^T, and in a hidden
+    layer the activation z and slope s, so that the next d is s e (z and s are
+    None in the linear output layer).
     """
     d = None
     last = len(weights) - 1
     for k, (w, b) in enumerate(zip(weights, params.biases)):
         pre = ad.affine(a, w, b)
-        if deriv and d is not None:
-            d = ad.affine(d, w)
-        elif deriv and isinstance(w, ad.Tensor):
-            d = ad.affine(np.ones(a.shape), w)
-        elif deriv:  # affine(ones, w) exactly: each input is 1.0, and there is no bias
-            d = np.broadcast_to(w[..., None, :, 0], pre.shape)
+        z = s = e = None
+        if deriv:  # the first layer's inputs are all ones, and it has no bias: e is w broadcast
+            e = ad.broadcast_to(w[..., None, :, 0], pre.shape) if d is None else ad.affine(d, w)
         if k < last:
-            a = activations.apply(params.activation, pre)
+            z = activations.apply(params.activation, pre)
             if deriv:
-                d = activations.slope(params.activation, pre, a) * d
-        else:
-            a = pre  # linear output layer
-        if not np.all(np.isfinite(ad.value(a))):
+                s = activations.slope(params.activation, pre, z)
+        if record is not None:
+            record.append((w, a, d, pre, e, z, s))
+        a, d = (pre, e) if k == last else (z, None if s is None else s * e)
+        if not np.isfinite(ad.value(a)).all():
             raise EvaluationError(f"non-finite activation in marginal layer {k}", layer=k)
     return a, d
+
+
+def _slope_adjoint(kind, pre, z, e, gd):
+    """What the derivative chain's d = z'(pre) e sends back to pre: gd e z''(pre)."""
+    return gd * e * activations.curvature(kind, pre, z)
+
+
+def normalize_adjoint(params: MarginalNetParams, record, cdf, pdf, g_cdf, g_pdf):
+    """Gradients of the raw weights and of the biases, given those of ``normalize``'s F and f.
+
+    Plain arrays only: record is the list a ``normalize`` call filled, and cdf
+    and pdf are what it returned. F = (psi(y) - psi(L)) / s and f = psi'(y) / s
+    with the span s = psi(U) - psi(L) give the gradients of psi at [L, U, y]
+    and of psi' at y; the value chain and the derivative chain then run back
+    layer by layer (Griewank & Walther 2008, ch. 3-4), the derivative chain
+    reaching each pre-activation through z'' as well (``_slope_adjoint``).
+    Each effective weight w = softplus(raw) + eps passes its gradient to raw
+    times softplus'(raw) = sigmoid(raw) = 1 - exp(eps - w). A shared set sums
+    over the points.
+    """
+    # the pass holds its arrays with their axes reversed in memory (see ``autodiff.affine``),
+    # so the adjoint works on the transposes: (units, points) shared, (units, points, rows)
+    psi = record[-1][3].T
+    col = psi.shape[2:] + (-1, 1)
+    cdf, pdf, g_cdf, g_pdf = (v.reshape(col).T for v in (cdf, pdf, g_cdf, g_pdf))
+    span = psi[:, 1:2] - psi[:, :1]
+    g_y, g_dy = g_cdf / span, g_pdf / span  # psi's and psi''s gradients at the points
+    g_span = -(g_y * cdf + g_dy * pdf).sum(axis=1, keepdims=True)
+    zero = np.zeros_like(g_span)
+    ga = np.concatenate([-g_y.sum(axis=1, keepdims=True) - g_span, g_span, g_y], axis=1)
+    gd = np.concatenate([zero, zero, g_dy], axis=1)  # psi at L, U and the points
+    g_w, g_b = [], []
+    for w, a, d, pre, e, z, s in reversed(record):
+        if z is not None:  # a hidden layer: a = z(pre) and d = z'(pre) e
+            s = np.transpose(s)  # a number for linear
+            ga, gd = ga * s + _slope_adjoint(params.activation, pre.T, z.T, e.T, gd), gd * s
+        gw = np.einsum("ok...,ik...->...oi", ga, a.T)  # ga and gd now hold pre's and e's gradients
+        g_b.append(ga.sum(axis=1).T)
+        if d is None:  # e = w[..., 0] broadcast over the points
+            gw[..., 0] += gd.sum(axis=1).T
+        else:
+            gw += np.einsum("ok...,ik...->...oi", gd, d.T)
+            ga, gd = (np.einsum("ok...,...oi->ik...", g, w) for g in (ga, gd))
+        g_w.append(gw * -np.expm1(WEIGHT_EPS - w))  # softplus' = 1 - exp(-softplus)
+    return g_w[::-1], g_b[::-1]
 
 
 def _pinned(cdf, y, b: Bounds):
@@ -178,16 +229,19 @@ def table_nodes(b: Bounds):
     return np.linspace(b.lower, b.upper, TABLE_INTERVALS + 1)
 
 
-def _pass(params, weights, b: Bounds, a, deriv=False, table=False):
+def _pass(params, weights, b: Bounds, a, deriv=False, table=False, record=None):
     """(psi(L), the span psi(U) - psi(L), psi, d psi / dy or None), from one pass.
 
     The pass runs over nodes from exactly L to exactly U, [L, U] or with table
     ``table_nodes(b)``, broadcast over a's rows, then over the point column a
-    (as ``_as_column`` makes it): psi holds the nodes' values first.
+    (as ``_as_column`` makes it): psi holds the nodes' values first. A record
+    list is handed to ``_psi``.
     """
     nodes = table_nodes(b)[:, None] if table else np.array([[b.lower], [b.upper]])
-    nodes = np.broadcast_to(nodes, a.shape[:-2] + nodes.shape)
-    psi, dpsi = _psi(params, weights, np.concatenate([nodes, a], axis=-2), deriv)
+    pts = np.empty(a.shape[:-2] + (len(nodes) + a.shape[-2], 1))
+    pts[..., :len(nodes), :], pts[..., len(nodes):, :] = nodes, a
+    psi, dpsi = (_psi(params, weights, pts, deriv) if record is None
+                 else _psi(params, weights, pts, deriv, record))
     k = nodes.shape[-2]
     lower = psi[..., :1, :]
     span = psi[..., k - 1:k, :] - lower
@@ -200,18 +254,14 @@ def _pass(params, weights, b: Bounds, a, deriv=False, table=False):
     return lower, span, psi, dpsi
 
 
-def normalize(params: MarginalNetParams, y, b: Bounds):
-    """(F(y), f(y)) at points y inside [L, U]; tape-node parameters give tape nodes.
+def normalize(params: MarginalNetParams, y, b: Bounds, record=None):
+    """(F(y), f(y)) at points y inside [L, U], from one pass; tape-node parameters give tape nodes.
 
-    psi(L) and psi(U) come from one pass, psi(y) and d psi / dy from a second:
-    training differentiates this, and one pass would reshape the tape's
-    matmuls and so change the trained bits.
+    Given a list, record gets the pass's layers (see ``_psi``) for ``normalize_adjoint``.
     """
     a, shape = _as_column(params, y)
-    weights = params.effective_weights()
-    lower, span, _, _ = _pass(params, weights, b, a[..., :0, :])
-    psi, dpsi = _psi(params, weights, a, True)
-    return ((psi - lower) / span).reshape(shape), (dpsi / span).reshape(shape)
+    lower, span, psi, dpsi = _pass(params, params.effective_weights(), b, a, True, record=record)
+    return ((psi[..., 2:, :] - lower) / span).reshape(shape), (dpsi[..., 2:, :] / span).reshape(shape)
 
 
 def cdf_table(params: MarginalNetParams, b: Bounds, extra=None):

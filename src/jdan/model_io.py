@@ -11,6 +11,8 @@ block older documents carry, are ignored.
 
 import json
 import numbers
+import os
+import shutil
 
 import numpy as np
 
@@ -161,11 +163,41 @@ def _raw_from_doc(doc, arch):
     return raw  # materialize rejects non-finite parameters
 
 
+def write_file(path, write):
+    """Have write(fh) fill a text file for path, so that path gets all of it or nothing.
+
+    The text goes to a temporary file beside the file path names, which takes
+    that file's mode and replaces it once complete; a symlink's target is
+    replaced, not the link. A path that names something other than a file (a
+    device, a FIFO, a terminal) is written in place, as there is nothing to replace.
+    """
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="utf-8") as fh:
+            write(fh)
+        return
+    path = os.path.realpath(path)
+    tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            write(fh)
+        if os.path.exists(path):
+            shutil.copymode(path, tmp)
+        os.replace(tmp, path)
+    except BaseException:  # an interrupt too: the old file stays, and the partial one goes
+        if os.path.lexists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def save_model(path, fc: Forecaster, data_spec=None):
+    """Write fc's model document to path, whole or not at all (see ``write_file``)."""
     doc = forecaster_to_doc(fc, data_spec=data_spec)
-    with open(path, "w", encoding="utf-8") as fh:
+
+    def write(fh):
         json.dump(doc, fh, indent=1)
         fh.write("\n")
+
+    write_file(path, write)
     return doc
 
 

@@ -1,14 +1,18 @@
 """Maximum-likelihood fitting of the joint density model.
 
-The objective is the evaluation code itself — ``nfn_forward``,
-``materialize`` and ``joint_pdf`` — run with the net's parameters as leaves
-of the reverse-mode tape in ``autodiff``, so one backward pass yields exact
-gradients for every trainable array. ``grad_check`` compares those against
-central finite differences and is the standing correctness oracle.
+The objective is the evaluation code itself. ``nll_loss`` runs
+``nfn_forward``, ``materialize`` and ``joint_pdf`` on plain arrays. For the
+gradient, ``nll_grad`` runs the conditioning net with its parameters as
+leaves of the reverse-mode tape in ``autodiff``, and the batch density as one
+tape node (``_density_node``): its forward is the same evaluation code on
+plain arrays, and its backward a hand-written adjoint. So one backward pass
+yields exact gradients for every trainable array. ``grad_check`` compares
+those against central finite differences and is the standing correctness
+oracle.
 
-The batch is vectorized through the tape as a single graph, so the
-"reduction" over per-sample gradients is a sum in fixed index order:
-results are bitwise reproducible for a given seed and batch order.
+The batch is vectorized as a single graph, so the "reduction" over
+per-sample gradients is a sum in fixed index order: results are bitwise
+reproducible for a given seed and batch order.
 """
 
 import math
@@ -20,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .copula import joint_pdf
+from .copula import combine, combine_adjoint, joint_pdf
 from .errors import (
     ConfigError,
     ContractError,
@@ -30,7 +34,8 @@ from .errors import (
     NonFiniteLossError,
     TrainingError,
 )
-from .hypernet import ArchitectureDescriptor, initialize_net, materialize, nfn_forward
+from .hypernet import ArchitectureDescriptor, initialize_net, materialize, nfn_forward, raw_block
+from .marginal import normalize, normalize_adjoint
 
 LOG_EPS = 1e-12  # density can be exactly 0 on the support boundary
 
@@ -73,8 +78,8 @@ class TrainReport:
 def _per_sample_loss(net, arch, targets, features):
     """Per-sample -log(joint_pdf + LOG_EPS), shape (n,).
 
-    The evaluation code itself: a tape node when net's parameters are
-    tape leaves, a plain array otherwise.
+    A plain array from the evaluation code, or a tape node when net's
+    parameters are tape leaves; the density is then ``_density_node``.
     """
     targets = np.asarray(targets, dtype=np.float64)
     if targets.ndim != 2 or targets.shape[1] != arch.dim:
@@ -87,8 +92,33 @@ def _per_sample_loss(net, arch, targets, features):
     if outside.any():
         bad, d = np.argwhere(outside)[0]
         raise ContractError(f"target sample {bad} lies outside bounds in dimension {d}")
-    model = materialize(nfn_forward(net, features), arch)
-    return -ad.log(joint_pdf(model, targets) + LOG_EPS)
+    raw = nfn_forward(net, features)
+    if isinstance(raw, ad.Tensor):
+        dens = _density_node(raw, arch, targets)
+    else:
+        dens = joint_pdf(materialize(raw, arch), targets)
+    return -ad.log(dens + LOG_EPS)
+
+
+def _density_node(raw, arch, targets):
+    """The joint density at in-box targets, (n,), as one tape node over the raw block.
+
+    Its forward is the evaluation code on plain arrays: ``materialize``, one
+    ``normalize`` pass per dimension over [L, U, y], and the combiner. Its
+    backward is the hand-written adjoint: ``copula.combine_adjoint``, then
+    ``marginal.normalize_adjoint`` per dimension, gathered into raw's shape.
+    """
+    model = materialize(ad.value(raw), arch)
+    records = [[] for _ in model.marginals]
+    cdfs, pdfs = zip(*(normalize(m, y, b, rec) for m, y, b, rec
+                       in zip(model.marginals, targets.T, model.bounds, records)))
+
+    def backward(g):
+        g_corr, g_cdfs, g_pdfs = combine_adjoint(model.correlations, cdfs, pdfs, g)
+        return raw_block([normalize_adjoint(*args) for args in zip(
+            model.marginals, records, cdfs, pdfs, g_cdfs, g_pdfs)], g_corr)
+
+    return ad.custom(raw, combine(model.correlations, cdfs, pdfs), backward)
 
 
 def _check_finite(loss_vec):

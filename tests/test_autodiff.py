@@ -118,6 +118,22 @@ def test_affine_plain_weights_give_each_row_its_own_bits():
     assert np.max(np.abs(taped.data - block) / scale) <= 1e-14
 
 
+def test_affine_per_row_block_gives_each_row_its_own_bits():
+    # a block with fewer points per row than rows runs with the rows innermost, a lone
+    # row with its points innermost: the order of the sums, and so the bits, are the same
+    rng = np.random.default_rng(4)
+    a, w, b = rng.normal(size=(300, 3, 8)), rng.normal(size=(300, 5, 8)), rng.normal(size=(300, 5))
+    block = ad.affine(a, w, b)
+    for i in range(len(a)):
+        np.testing.assert_array_equal(block[i:i + 1], ad.affine(a[i:i + 1], w[i:i + 1], b[i:i + 1]))
+
+
+def test_broadcast_to_grad():
+    rng = np.random.default_rng(5)
+    x, coeff = rng.normal(size=(4, 1, 3)), rng.normal(size=(2, 4, 5, 3))
+    check_op(lambda t: ad.sumall(ad.mul(ad.broadcast_to(t, coeff.shape), coeff)), x)
+
+
 def test_reshape_grad():
     rng = np.random.default_rng(3)
     x = rng.normal(size=(2, 5))
@@ -131,6 +147,7 @@ def test_ops_on_plain_arrays_build_no_graph():
     outs = [
         ad.add(x, x), ad.sub(x, 1.0), ad.mul(x, x), ad.div(x, 2.0),
         ad.affine(x, w, np.ones(2)), ad.affine(x, w), ad.reshape(x, (4,)), ad.getitem(x, 0),
+        ad.broadcast_to(x, (3, 2, 2)),
         ad.sumall(x), ad.mean(x), ad.log(x), ad.exp(x),
         ad.tanh(x), ad.sigmoid(x), ad.softplus(x), ad.relu(x), ad.step(x),
     ]

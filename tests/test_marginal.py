@@ -205,8 +205,8 @@ def test_inverse_rejects_bad_probability():
 
 @pytest.mark.parametrize("rows", [None, 3], ids=["shared", "per_row"])
 def test_passes_through_the_net_per_call(rows, monkeypatch):
-    # psi(L) and psi(U) ride in the one pass of every CDF, density and table call;
-    # normalize, which training differentiates, finds them in a pass of their own
+    # psi(L) and psi(U) ride in the one pass of every CDF, density and table call,
+    # normalize's too
     arch = unit_arch(dim=2)
     raw = np.random.default_rng(0).normal(size=(rows or 1, arch.param_count()))
     model = materialize(raw if rows else raw[0], arch)
@@ -220,8 +220,8 @@ def test_passes_through_the_net_per_call(rows, monkeypatch):
                        (lambda: normalized_pdf(m, y, b), 1),
                        (lambda: cdf_table(m, b), 1),
                        (lambda: cdf_table(m, b, y), 1),
-                       (lambda: normalize(m, y, b), 2),
-                       (lambda: joint_pdf(model, pts), 2 * model.dim)):
+                       (lambda: normalize(m, y, b), 1),
+                       (lambda: joint_pdf(model, pts), model.dim)):
         passes.clear()
         call()
         assert len(passes) == want

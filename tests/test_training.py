@@ -1,10 +1,14 @@
 """Likelihood on the tape, gradient checks and the optimizer loop."""
 
+import importlib.util
 import json
+import os
 
 import numpy as np
 import pytest
 
+from jdan import autodiff as ad
+from jdan import copula, marginal
 from jdan.cli import main
 from jdan.copula import joint_pdf, sample
 from jdan.data import LoadSpec, load_csv
@@ -18,7 +22,15 @@ from jdan.errors import (
     NonFiniteLossError,
     TrainingError,
 )
-from jdan.hypernet import ArchitectureDescriptor, Forecaster, flatten, initialize_net, materialize
+from jdan.hypernet import (
+    ArchitectureDescriptor,
+    Forecaster,
+    flatten,
+    initialize_net,
+    materialize,
+    nfn_forward,
+)
+from jdan.model_io import load_model
 from jdan.training import (
     LOG_EPS,
     TrainConfig,
@@ -32,6 +44,8 @@ from jdan.training import (
 )
 
 from conftest import unit_arch
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 # several tests use deliberately small datasets; the advisory warning about
 # batch count is expected there and asserted explicitly in its own test
@@ -165,6 +179,93 @@ def test_grad_check_detects_bad_step_size():
     good = grad_check(net, arch, targets, h=1e-5)
     coarse = grad_check(net, arch, targets, h=0.5)
     assert coarse > 10 * good
+
+
+def tape_gradient(net, arch, targets, features=None):
+    """The gradient through the generic tape: leaves, materialize, joint_pdf, -log(. + LOG_EPS), mean."""
+    leaves = [ad.leaf(p) for p in net.parameters()]
+    model = materialize(nfn_forward(net.with_parameters(leaves), features), arch)
+    ad.backward(ad.mean(-ad.log(joint_pdf(model, targets) + LOG_EPS)))
+    return np.concatenate([leaf.grad.reshape(-1) for leaf in leaves])
+
+
+def adjoint_error(net, arch, targets, features=None):
+    """Largest gap between nll_grad's gradient and the generic tape's, relative to the largest entry."""
+    _, got = nll_grad(net, arch, targets, features)
+    want = tape_gradient(net, arch, targets, features)
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+def test_density_adjoint_matches_the_generic_tape():
+    rng = np.random.default_rng(16)
+    for activation in ACTIVATIONS:
+        for dim in (2, 3, 4):
+            for hidden in ((5,), (4, 3)):
+                for feature_dim in (0, 2):  # one shared parameter set, then a row per sample
+                    arch = unit_arch(dim=dim, hidden=hidden, activation=activation,
+                                     feature_dim=feature_dim, hyper=(6,))
+                    net = initialize_net(arch, seed=17)
+                    if feature_dim == 0:  # away from the near-linear start, so every term counts
+                        net.raw[:] = rng.normal(0.0, 0.7, net.raw.shape)
+                    feats = rng.normal(size=(30, 2)) if feature_dim else None
+                    targets = rng.uniform(0.02, 0.98, size=(30, dim))
+                    err = adjoint_error(net, arch, targets, feats)
+                    assert err <= 1e-12, (activation, dim, hidden, feature_dim, err)
+
+
+def _perfbench_tracing():
+    path = os.path.join(ROOT, "perfbench", "tracing.py")
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_training_step_builds_at_most_20_tape_nodes(monkeypatch):
+    # the hypernet's nodes, one for the batch density and four for the loss, counted as
+    # the benchmark counts autodiff.tensors_per_step
+    with open(os.path.join(ROOT, "configs", "conditional_d2.json"), encoding="utf-8") as fh:
+        cfg = json.load(fh)
+    a = cfg["architecture"]
+    arch = ArchitectureDescriptor(dim=2, bounds=cfg["bounds"],
+                                  marginal_hidden=[a["marginal_hidden"]] * 2,
+                                  activations=[a["activations"]] * 2, feature_dim=1,
+                                  hypernet_hidden=a["hypernet_hidden"])
+    rng = np.random.default_rng(18)
+    graph_size, backward, sizes = _perfbench_tracing()._graph_size, ad.backward, []
+    monkeypatch.setattr(ad, "backward", lambda root: sizes.append(graph_size(root)) or backward(root))
+    nll_grad(initialize_net(arch, seed=19), arch, rng.uniform(size=(128, 2)),
+             rng.normal(size=(128, 1)))
+    assert 0 < sizes[0] <= 20
+
+
+def test_unconditional_training_loss_is_the_evaluation_loss():
+    rng = np.random.default_rng(20)
+    for activation in ACTIVATIONS:
+        for dim in (2, 3):
+            arch = unit_arch(dim=dim, hidden=(6,), activation=activation)
+            net = initialize_net(arch, seed=21)
+            net.raw[:] = rng.normal(0.0, 0.7, net.raw.shape)
+            targets = rng.uniform(size=(50, dim))
+            assert nll_grad(net, arch, targets)[0] == nll_loss(net, arch, targets), activation
+
+
+def test_adjoint_mutants_fail_grad_check_and_the_tape_oracle(monkeypatch):
+    # the bundled uniform model with its correlation turned up, so that each term matters
+    fc, _ = load_model(os.path.join(ROOT, "runs", "uniform_d2_model.json"))
+    net, arch = fc.net, fc.arch
+    net.raw[-1] = 1.0  # C = tanh(1), about 0.76
+    targets = load_csv(os.path.join(ROOT, "data", "uniform_d2.csv"),
+                       LoadSpec(target_columns=["y1", "y2"])).targets[:64]
+    assert grad_check(net, arch, targets) <= 1e-4
+    assert adjoint_error(net, arch, targets) <= 1e-12
+    mutants = [(marginal, "_slope_adjoint", lambda *args: 0.0),  # no z'' in the derivative chain
+               (copula, "_tanh_slope", lambda c: 1.0)]          # no (1 - C^2)
+    for module, name, wrong in mutants:
+        with monkeypatch.context() as patch:
+            patch.setattr(module, name, wrong)
+            assert grad_check(net, arch, targets) > 1e-4, name
+            assert adjoint_error(net, arch, targets) > 1e-12, name
 
 
 def test_flat_parameter_roundtrip():
