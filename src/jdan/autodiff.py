@@ -156,16 +156,17 @@ def affine(a, w, b=None):
         # one plane per input unit, the longer points axis last: the rows, when a block
         # holds fewer points per row than rows
         if w.ndim == 2:
-            perm, wt, bt = (1, 0), w.T[:, :, None], (None if b is None else b[:, None])
+            perm = back = (1, 0)
+            wt, bt = w.T[:, :, None], (None if b is None else b[:, None])
         else:
             if a.ndim == 2:  # one set of points under every row's weights
                 a = np.broadcast_to(a, w.shape[:1] + a.shape)
             rows_last = a.shape[1] < a.shape[0]
-            perm = (2, 1, 0) if rows_last else (2, 0, 1)
+            perm, back = ((2, 1, 0), (2, 1, 0)) if rows_last else ((2, 0, 1), (1, 2, 0))
             wt = w.transpose(2, 1, 0)[:, :, None] if rows_last else w.transpose(2, 1, 0)[..., None]
             bt = None if b is None else (b.T[:, None] if rows_last else b.T[:, :, None])
         out = ordered_affine(np.ascontiguousarray(a.transpose(perm)), wt, bt)
-        return out.transpose(np.argsort(perm))
+        return out.transpose(back)
     av, wv = value(a), value(w)
     out = av @ np.swapaxes(wv, -1, -2)
     edges = [(a, lambda g: _unbroadcast(g @ wv, np.shape(av))),

@@ -140,33 +140,41 @@ def _as_column(params, y):
 def _psi(params, weights, a, deriv, record=None):
     """psi at column points a and, with deriv, d psi / dy there (else None).
 
-    The chain rule runs layer by layer beside the forward pass, so the
-    derivative is exact and, with positive weights, never negative. With
-    plain parameters, each value depends only on its point and its row's
-    parameters (see ``autodiff.affine``), so row i of a block gives the bits
-    of the one-row set made of row i's parameters alone.
+    deriv is True for every point, or a slice of a's points (its second-last
+    axis) to take d psi / dy at those alone. The chain rule runs layer by
+    layer beside the forward pass, so the derivative is exact and, with
+    positive weights, never negative. With plain parameters, each value
+    depends only on its point and its row's parameters (see
+    ``autodiff.affine``), so row i of a block gives the bits of the one-row
+    set made of row i's parameters alone.
 
     Given a list, record gets one entry per layer, (w, a, d, pre, e, z, s),
     for ``normalize_adjoint``: the layer's weights, its value input a and
     derivative input d (None in the first layer, where it is all ones), its
     pre-activation and derivative pre-activation e = d w^T, and in a hidden
     layer the activation z and slope s, so that the next d is s e (z and s are
-    None in the linear output layer).
+    None in the linear output layer). d and e hold deriv's points only.
     """
+    rows = slice(None) if deriv is True else deriv
     d = None
     last = len(weights) - 1
     for k, (w, b) in enumerate(zip(weights, params.biases)):
         pre = ad.affine(a, w, b)
         z = s = e = None
         if deriv:  # the first layer's inputs are all ones, and it has no bias: e is w broadcast
-            e = ad.broadcast_to(w[..., None, :, 0], pre.shape) if d is None else ad.affine(d, w)
+            e = ad.affine(d, w) if d is not None else ad.broadcast_to(
+                w[..., None, :, 0], ad.value(pre)[..., rows, :].shape)
         if k < last:
             z = activations.apply(params.activation, pre)
             if deriv:
                 s = activations.slope(params.activation, pre, z)
         if record is not None:
             record.append((w, a, d, pre, e, z, s))
-        a, d = (pre, e) if k == last else (z, None if s is None else s * e)
+        if k == last:
+            a, d = pre, e
+        else:  # a linear slope is the number 1.0
+            a, d = z, (None if s is None else
+                       (s if deriv is True or np.ndim(ad.value(s)) == 0 else s[..., rows, :]) * e)
         if not np.isfinite(ad.value(a)).all():
             raise EvaluationError(f"non-finite activation in marginal layer {k}", layer=k)
     return a, d
@@ -196,16 +204,16 @@ def normalize_adjoint(params: MarginalNetParams, record, cdf, pdf, g_cdf, g_pdf)
     col = psi.shape[2:] + (-1, 1)
     cdf, pdf, g_cdf, g_pdf = (v.reshape(col).T for v in (cdf, pdf, g_cdf, g_pdf))
     span = psi[:, 1:2] - psi[:, :1]
-    g_y, g_dy = g_cdf / span, g_pdf / span  # psi's and psi''s gradients at the points
-    g_span = -(g_y * cdf + g_dy * pdf).sum(axis=1, keepdims=True)
-    zero = np.zeros_like(g_span)
+    g_y, gd = g_cdf / span, g_pdf / span  # psi's and psi''s gradients at the points
+    g_span = -(g_y * cdf + gd * pdf).sum(axis=1, keepdims=True)
     ga = np.concatenate([-g_y.sum(axis=1, keepdims=True) - g_span, g_span, g_y], axis=1)
-    gd = np.concatenate([zero, zero, g_dy], axis=1)  # psi at L, U and the points
     g_w, g_b = [], []
     for w, a, d, pre, e, z, s in reversed(record):
-        if z is not None:  # a hidden layer: a = z(pre) and d = z'(pre) e
+        if z is not None:  # a hidden layer: a = z(pre), and at the points d = z'(pre) e
             s = np.transpose(s)  # a number for linear
-            ga, gd = ga * s + _slope_adjoint(params.activation, pre.T, z.T, e.T, gd), gd * s
+            ga = ga * s
+            ga[:, 2:] += _slope_adjoint(params.activation, pre.T[:, 2:], z.T[:, 2:], e.T, gd)
+            gd = gd * (s if s.ndim == 0 else s[:, 2:])
         gw = np.einsum("ok...,ik...->...oi", ga, a.T)  # ga and gd now hold pre's and e's gradients
         g_b.append(ga.sum(axis=1).T)
         if d is None:  # e = w[..., 0] broadcast over the points
@@ -234,12 +242,14 @@ def _pass(params, weights, b: Bounds, a, deriv=False, table=False, record=None):
 
     The pass runs over nodes from exactly L to exactly U, [L, U] or with table
     ``table_nodes(b)``, broadcast over a's rows, then over the point column a
-    (as ``_as_column`` makes it): psi holds the nodes' values first. A record
-    list is handed to ``_psi``.
+    (as ``_as_column`` makes it): psi holds the nodes' values first. With
+    deriv, d psi / dy comes for a's points, and with table for the nodes as
+    well. A record list is handed to ``_psi``.
     """
     nodes = table_nodes(b)[:, None] if table else np.array([[b.lower], [b.upper]])
     pts = np.empty(a.shape[:-2] + (len(nodes) + a.shape[-2], 1))
     pts[..., :len(nodes), :], pts[..., len(nodes):, :] = nodes, a
+    deriv = deriv and (table or slice(len(nodes), None))  # at the table's nodes, or a's points
     psi, dpsi = (_psi(params, weights, pts, deriv) if record is None
                  else _psi(params, weights, pts, deriv, record))
     k = nodes.shape[-2]
@@ -261,7 +271,7 @@ def normalize(params: MarginalNetParams, y, b: Bounds, record=None):
     """
     a, shape = _as_column(params, y)
     lower, span, psi, dpsi = _pass(params, params.effective_weights(), b, a, True, record=record)
-    return ((psi[..., 2:, :] - lower) / span).reshape(shape), (dpsi[..., 2:, :] / span).reshape(shape)
+    return ((psi[..., 2:, :] - lower) / span).reshape(shape), (dpsi / span).reshape(shape)
 
 
 def cdf_table(params: MarginalNetParams, b: Bounds, extra=None):
@@ -294,7 +304,7 @@ def normalized_pdf(params: MarginalNetParams, y, b: Bounds):
     y = np.asarray(y, dtype=np.float64)
     a, shape = _as_column(params, np.clip(y, b.lower, b.upper))
     _, span, _, dpsi = _pass(params, params.effective_weights(), b, a, deriv=True)
-    dens = (dpsi[..., 2:, :] / span).reshape(shape)  # past L and U
+    dens = (dpsi / span).reshape(shape)
     out = np.where((y >= b.lower) & (y <= b.upper), dens, 0.0)
     return float(out) if out.ndim == 0 else out
 

@@ -667,7 +667,7 @@ PINNED_VERIFY_OUT = {
         'pass  pdf nonnegative  (min 9.251e-01)\n'
         'pass  cdf monotone on random pairs  (min diff 1.562e-03)\n'
         'pass  margins reproduce marginal cdf  (max 0.000e+00)\n'
-        'pass  quantile/cdf round trip  (max 1.578e-12)\n'
+        'pass  quantile/cdf round trip  (max 1.580e-12)\n'
         'pass  density matches FD mixed partial  (max rel 6.282e-08)\n'
         'pass  density integrates to 1 (simpson)  (1.000000)\n'
         'verify: all 10 checks passed\n'
