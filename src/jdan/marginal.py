@@ -172,9 +172,10 @@ def _psi(params, weights, a, deriv, record=None):
             record.append((w, a, d, pre, e, z, s))
         if k == last:
             a, d = pre, e
-        else:  # a linear slope is the number 1.0
-            a, d = z, (None if s is None else
-                       (s if deriv is True or np.ndim(ad.value(s)) == 0 else s[..., rows, :]) * e)
+        else:
+            if s is not None and deriv is not True and np.ndim(ad.value(s)):
+                s = s[..., rows, :]  # at deriv's points; a linear slope is the number 1.0
+            a, d = z, (None if s is None else s * e)
         if not np.isfinite(ad.value(a)).all():
             raise EvaluationError(f"non-finite activation in marginal layer {k}", layer=k)
     return a, d
@@ -198,13 +199,14 @@ def normalize_adjoint(params: MarginalNetParams, record, cdf, pdf, g_cdf, g_pdf)
     times softplus'(raw) = sigmoid(raw) = 1 - exp(eps - w). A shared set sums
     over the points.
     """
-    # the pass holds its arrays with their axes reversed in memory (see ``autodiff.affine``),
-    # so the adjoint works on the transposes: (units, points) shared, (units, points, rows)
+    # a shared set's pass, and a block's with fewer points per row than rows, holds its arrays
+    # with their axes reversed in memory (see ``autodiff.affine``), so the adjoint works on the
+    # transposes: (units, points) shared, (units, points, rows) per row
     psi = record[-1][3].T
     col = psi.shape[2:] + (-1, 1)
     cdf, pdf, g_cdf, g_pdf = (v.reshape(col).T for v in (cdf, pdf, g_cdf, g_pdf))
     span = psi[:, 1:2] - psi[:, :1]
-    g_y, gd = g_cdf / span, g_pdf / span  # psi's and psi''s gradients at the points
+    g_y, gd = g_cdf / span, g_pdf / span  # the gradients of psi and d psi / dy at the points
     g_span = -(g_y * cdf + gd * pdf).sum(axis=1, keepdims=True)
     ga = np.concatenate([-g_y.sum(axis=1, keepdims=True) - g_span, g_span, g_y], axis=1)
     g_w, g_b = [], []
