@@ -207,7 +207,7 @@ def broadcast_to(a, shape):
 
 
 def custom(a, out, bwd):
-    """out, computed from a outside the tape, as a node whose backward is bwd: out's gradient -> a's."""
+    """out, computed from a outside the tape, as a node; bwd maps out's gradient to a's."""
     return _node(out, (a, bwd))
 
 

@@ -208,13 +208,14 @@ def _tanh_slope(c):
 
 
 def combine_adjoint(corr: CorrelationParams, cdfs, pdfs, g):
-    """Gradients of the raw correlations, the D CDF values and the D densities, given g on ``combine``'s.
+    """Gradients of the raw correlations, the D CDF values and the D densities.
 
-    Plain arrays only. With v_d = 1 - 2 F_d, C = tanh(raw) and
-    c = 1 + mean over pairs k = (d, i) of C_k v_d v_i, the density is c times
-    the product of the f_d. Each f_d's gradient takes the product of the other
-    densities, never the density over f_d, since f can be 0. A shared set
-    (one row of correlations) sums over the points.
+    g is the gradient of ``combine``'s density, and all arrays are plain.
+    With v_d = 1 - 2 F_d, C = tanh(raw) and c = 1 + mean over pairs
+    k = (d, i) of C_k v_d v_i, the density is c times the product of the f_d.
+    Each f_d's gradient takes the product of the other densities, never the
+    density over f_d, since f can be 0. A shared set (one row of
+    correlations) sums over the points.
     """
     pairs, dim = pair_indices(len(cdfs)), len(cdfs)
     c = corr.effective()

@@ -182,7 +182,7 @@ def test_grad_check_detects_bad_step_size():
 
 
 def tape_gradient(net, arch, targets, features=None):
-    """The gradient through the generic tape: leaves, materialize, joint_pdf, -log(. + LOG_EPS), mean."""
+    """The gradient through the generic tape: materialize, joint_pdf, -log(. + LOG_EPS), mean."""
     leaves = [ad.leaf(p) for p in net.parameters()]
     model = materialize(nfn_forward(net.with_parameters(leaves), features), arch)
     ad.backward(ad.mean(-ad.log(joint_pdf(model, targets) + LOG_EPS)))
@@ -190,7 +190,7 @@ def tape_gradient(net, arch, targets, features=None):
 
 
 def adjoint_error(net, arch, targets, features=None):
-    """Largest gap between nll_grad's gradient and the generic tape's, relative to the largest entry."""
+    """Largest gap between nll_grad's gradient and the generic tape's, over its largest entry."""
     _, got = nll_grad(net, arch, targets, features)
     want = tape_gradient(net, arch, targets, features)
     return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
@@ -233,7 +233,8 @@ def test_training_step_builds_at_most_20_tape_nodes(monkeypatch):
                                   hypernet_hidden=a["hypernet_hidden"])
     rng = np.random.default_rng(18)
     graph_size, backward, sizes = _perfbench_tracing()._graph_size, ad.backward, []
-    monkeypatch.setattr(ad, "backward", lambda root: sizes.append(graph_size(root)) or backward(root))
+    monkeypatch.setattr(ad, "backward",
+                        lambda root: sizes.append(graph_size(root)) or backward(root))
     nll_grad(initialize_net(arch, seed=19), arch, rng.uniform(size=(128, 2)),
              rng.normal(size=(128, 1)))
     assert 0 < sizes[0] <= 20
