@@ -199,6 +199,8 @@ def _model(args):
     """The shared parameter set of --model, at --features when the model is conditional."""
     fc, _ = model_io.load_model(args.model)
     if not fc.conditional:
+        if args.features is not None:
+            raise ConfigError("this model is unconditional; drop --features")
         return fc.model_for()
     if args.features is None:
         raise ConfigError("this model is conditional; pass --features v1,v2,...")
@@ -428,56 +430,56 @@ def cmd_verify(args):
 
 
 def build_parser():
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON config file")
-    common.add_argument("--seed", type=int, default=None, help="seed override")
-    common.add_argument("--out", default=None, help="output path")
-    common.add_argument("--quiet", action="store_true", help="suppress progress chatter")
-
+    shared = {"--config": {"help": "JSON config file"},
+              "--seed": {"type": int, "help": "seed override"},
+              "--out": {"help": "output path"},
+              "--quiet": {"action": "store_true", "help": "suppress progress chatter"}}
     parser = argparse.ArgumentParser(
         prog="jdan",
         description="Nonparametric joint density forecasting with monotone-net marginals",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("train", parents=[common], help="fit a model from a config")
-    p.set_defaults(fn=cmd_train)
+    def command(name, fn, text, *flags):
+        """A subcommand with the shared flags fn reads, --quiet always among them."""
+        p = sub.add_parser(name, help=text)
+        for flag in flags + ("--quiet",):
+            p.add_argument(flag, **shared[flag])
+        p.set_defaults(fn=fn)
+        return p
 
-    p = sub.add_parser("evaluate", parents=[common], help="score a model on a CSV")
+    command("train", cmd_train, "fit a model from a config", "--config", "--seed", "--out")
+
+    p = command("evaluate", cmd_evaluate, "score a model on a CSV", "--seed", "--out")
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--energy-samples", type=int, default=200)
     p.add_argument("--no-energy", action="store_true", help="skip the energy score")
     p.add_argument("--pit-out", default=None, help="write PIT values as CSV")
-    p.set_defaults(fn=cmd_evaluate)
 
-    p = sub.add_parser("density", parents=[common], help="joint density on a grid")
+    p = command("density", cmd_density, "joint density on a grid", "--out")
     p.add_argument("--model", required=True)
     p.add_argument("--features", default=None, help="comma-separated feature values")
     p.add_argument("--grid", type=int, default=64, help="cells per free dimension")
     p.add_argument("--fix", action="append", default=None, metavar="DIM=VALUE",
                    help="freeze a (1-based) dimension; repeatable")
-    p.set_defaults(fn=cmd_density)
 
-    p = sub.add_parser("sample", parents=[common], help="draw joint samples")
+    p = command("sample", cmd_sample, "draw joint samples", "--seed", "--out")
     p.add_argument("--model", required=True)
     p.add_argument("-n", "--count", type=int, required=True)
     p.add_argument("--features", default=None)
-    p.set_defaults(fn=cmd_sample)
 
-    p = sub.add_parser("diagnose-miso", parents=[common],
-                       help="search for a negative mixed partial of a monotone net")
+    p = command("diagnose-miso", cmd_diagnose_miso,
+                "search for a negative mixed partial of a monotone net", "--seed", "--out")
     p.add_argument("--activation", default="sigmoid", choices=KINDS)
     p.add_argument("--dim", type=int, default=2)
     p.add_argument("--hidden", type=int, default=4)
     p.add_argument("--trials", type=int, default=10000)
-    p.set_defaults(fn=cmd_diagnose_miso)
 
-    p = sub.add_parser("verify", parents=[common], help="run the invariant battery")
+    p = command("verify", cmd_verify, "run the invariant battery", "--seed")
     p.add_argument("--model", required=True)
     p.add_argument("--features", default=None)
     p.add_argument("--level", choices=["quick", "full"], default="quick")
-    p.set_defaults(fn=cmd_verify)
     return parser
 
 

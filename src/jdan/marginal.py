@@ -252,8 +252,7 @@ def _pass(params, weights, b: Bounds, a, deriv=False, table=False, record=None):
     pts = np.empty(a.shape[:-2] + (len(nodes) + a.shape[-2], 1))
     pts[..., :len(nodes), :], pts[..., len(nodes):, :] = nodes, a
     deriv = deriv and (table or slice(len(nodes), None))  # at the table's nodes, or a's points
-    psi, dpsi = (_psi(params, weights, pts, deriv) if record is None
-                 else _psi(params, weights, pts, deriv, record))
+    psi, dpsi = _psi(params, weights, pts, deriv, record)
     k = nodes.shape[-2]
     lower = psi[..., :1, :]
     span = psi[..., k - 1:k, :] - lower

@@ -75,18 +75,17 @@ def forecaster_to_doc(fc: Forecaster, data_spec=None):
                 "scale": fc.feature_scaler.scale.tolist(),
             }
     else:
-        raw = fc.net.raw
-        spans, (c0, c1) = fc.arch.partition()
+        model = fc.model_for()
         doc["marginals"] = [
             {
-                "layer_sizes": fc.arch.marginal_layer_sizes(d),
-                "activation": fc.arch.activations[d],
-                "raw_weights": [raw[a:b].reshape(shape).tolist() for a, b, shape in w_spans],
-                "biases": [raw[a:b].tolist() for a, b in b_spans],
+                "layer_sizes": m.layer_sizes,
+                "activation": m.activation,
+                "raw_weights": [w.tolist() for w in m.raw_weights],
+                "biases": [b.tolist() for b in m.biases],
             }
-            for d, (w_spans, b_spans) in enumerate(spans)
+            for m in model.marginals
         ]
-        doc["correlations"] = {"raw": raw[c0:c1].tolist()}
+        doc["correlations"] = {"raw": model.correlations.raw.tolist()}
     if data_spec is not None:
         doc["data_spec"] = {
             "path": data_spec.get("path"),

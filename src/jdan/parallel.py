@@ -1,33 +1,15 @@
-"""Worker-count policy and an order-preserving parallel map.
+"""The machine's core count and a plain ordered map.
 
-JDAN_THREADS caps the pool (default: machine parallelism). Results are
-always reduced in input order, so parallel runs are bitwise identical to
-serial ones.
+Nothing in jdan calls either; perfbench records ``worker_count()`` with each
+run and traces ``ordered_map`` by name, so both stay until that lookup goes.
 """
 
 import os
-from concurrent.futures import ThreadPoolExecutor
-
-from .errors import ConfigError
 
 
 def worker_count():
-    raw = os.environ.get("JDAN_THREADS")
-    if raw is None:
-        return os.cpu_count() or 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"JDAN_THREADS must be an integer, got {raw!r}") from None
-    if n < 1:
-        raise ConfigError("JDAN_THREADS must be >= 1")
-    return n
+    return os.cpu_count() or 1
 
 
 def ordered_map(fn, items):
-    items = list(items)
-    workers = min(worker_count(), len(items)) or 1
-    if workers == 1 or len(items) < 4:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    return [fn(it) for it in items]

@@ -1,11 +1,12 @@
 """Maximum-likelihood fitting of the joint density model.
 
-The objective is the evaluation code itself. ``nll_loss`` runs
-``nfn_forward``, ``materialize`` and ``joint_pdf`` on plain arrays. For the
-gradient, ``nll_grad`` runs the conditioning net with its parameters as
-leaves of the reverse-mode tape in ``autodiff``, and the batch density as one
-tape node (``_density_node``): its forward is the same evaluation code on
-plain arrays, and its backward a hand-written adjoint. So one backward pass
+The objective is the evaluation code itself. Both ``nll_loss`` and
+``nll_grad`` take the batch density from one tape node, ``_density_node``,
+whose forward is the evaluation code on plain arrays (``materialize``, one
+``normalize`` pass per dimension, the combiner); with plain parameters the
+node is a plain array. For the gradient, ``nll_grad`` runs the conditioning
+net with its parameters as leaves of the reverse-mode tape in ``autodiff``,
+and the node's backward is a hand-written adjoint. So one backward pass
 yields exact gradients for every trainable array. ``grad_check`` compares
 those against central finite differences and is the standing correctness
 oracle.
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .copula import combine, combine_adjoint, joint_pdf
+from .copula import combine, combine_adjoint
 from .errors import (
     ConfigError,
     ContractError,
@@ -76,10 +77,9 @@ class TrainReport:
 
 
 def _per_sample_loss(net, arch, targets, features):
-    """Per-sample -log(joint_pdf + LOG_EPS), shape (n,).
+    """Per-sample -log(joint_pdf + LOG_EPS), shape (n,), the density from ``_density_node``.
 
-    A plain array from the evaluation code, or a tape node when net's
-    parameters are tape leaves; the density is then ``_density_node``.
+    A plain array, or a tape node when net's parameters are tape leaves.
     """
     targets = np.asarray(targets, dtype=np.float64)
     if targets.ndim != 2 or targets.shape[1] != arch.dim:
@@ -92,11 +92,7 @@ def _per_sample_loss(net, arch, targets, features):
     if outside.any():
         bad, d = np.argwhere(outside)[0]
         raise ContractError(f"target sample {bad} lies outside bounds in dimension {d}")
-    raw = nfn_forward(net, features)
-    if isinstance(raw, ad.Tensor):
-        dens = _density_node(raw, arch, targets)
-    else:
-        dens = joint_pdf(materialize(raw, arch), targets)
+    dens = _density_node(nfn_forward(net, features), arch, targets)
     return -ad.log(dens + LOG_EPS)
 
 

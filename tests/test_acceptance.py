@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from jdan import copula
 from jdan.cli import main
 from jdan.copula import (
     CorrelationParams,
@@ -305,6 +306,22 @@ def test_07_self_consistency_recovery(capfd):
     assert elapsed < budget
 
 
+def _sample_spearman():
+    """Acceptance 8's sample check: (rho, |rho - 0.3| <= 0.05) for 20000 draws at C = 0.9.
+
+    rho is the sample Spearman rho, and C/3 = 0.3 its target. Spearman is
+    rank-based, so uniform margins are representative.
+    """
+    gen_arch = unit_arch(2, (4,), activation="linear")
+    gen_net = initialize_net(gen_arch, seed=0)
+    gen_net.raw[:] = 0.0
+    gen_net.raw[-1] = np.arctanh(0.9)
+    model = materialize(gen_net.raw, gen_arch)
+    draws = sample(model, 20_000, seed=88)
+    rho = float(stats.spearmanr(draws[:, 0], draws[:, 1]).statistic)
+    return rho, abs(rho - 0.3) <= 0.05
+
+
 def test_08_spearman_identity(capfd):
     """Sample Spearman rho tracks C/3 (identity pre-verified by quadrature)."""
     budget = 30.0
@@ -318,23 +335,25 @@ def test_08_spearman_identity(capfd):
     cvals = copula_cdf(CorrelationParams(raw=np.array([raw])), grid)
     rho_int = 12.0 * float(cvals.mean()) - 3.0
 
-    # Spearman is rank-based, so uniform margins are representative
-    gen_arch = unit_arch(2, (4,), activation="linear")
-    gen_net = initialize_net(gen_arch, seed=0)
-    gen_net.raw[:] = 0.0
-    gen_net.raw[-1] = raw
-    model = materialize(gen_net.raw, gen_arch)
-    draws = sample(model, 20_000, seed=88)
-    rho = float(stats.spearmanr(draws[:, 0], draws[:, 1]).statistic)
+    rho, sample_ok = _sample_spearman()
     elapsed = time.perf_counter() - t0
-    ok = (abs(rho_int - 0.3) <= 1e-3 and abs(rho - 0.3) <= 0.05
-          and elapsed < budget)
+    ok = abs(rho_int - 0.3) <= 1e-3 and sample_ok and elapsed < budget
     _report(capfd, 8, ok, "Spearman identity",
             f"quadrature rho {rho_int:.4f}, sample rho {rho:.4f}, target C/3 = 0.3",
             elapsed, budget)
     assert abs(rho_int - 0.3) <= 1e-3
-    assert abs(rho - 0.3) <= 0.05
+    assert sample_ok, rho
     assert elapsed < budget
+
+
+def test_08_sample_check_catches_flipped_dependence(monkeypatch):
+    """A sampler that inverts under negated correlations fails acceptance 8's sample check."""
+    assert _sample_spearman()[1]
+    inverse = copula._conditional_inverse
+    monkeypatch.setattr(copula, "_conditional_inverse",
+                        lambda corr, v: inverse(CorrelationParams(raw=-corr.raw), v))
+    rho, sample_ok = _sample_spearman()
+    assert not sample_ok, rho
 
 
 def test_09_pit_calibration_on_true_model(capfd):

@@ -398,9 +398,9 @@ def test_density_runs_each_marginal_once_per_axis_value(monkeypatch, tmp_path):
     seen = {}
     psi = marginal._psi
 
-    def counted(params, weights, a, deriv):
+    def counted(params, weights, a, *rest):
         seen[id(params)] = seen.get(id(params), 0) + a.size
-        return psi(params, weights, a, deriv)
+        return psi(params, weights, a, *rest)
 
     monkeypatch.setattr(marginal, "_psi", counted)
     assert main(["density", "--model", os.path.join(RUNS, "uniform_d2_model.json"),
@@ -603,11 +603,12 @@ def test_negative_seed_exits_2(command, seed, trained, tmp_path, capsys):
         argv = ["train", "--config", str(path)]
     else:
         argv = {
-            "evaluate": ["evaluate", "--model", trained["model"], "--data", str(trained["data"])],
-            "sample": ["sample", "--model", trained["model"], "-n", "5"],
-            "verify": ["verify", "--model", trained["model"]],
-            "diagnose-miso": ["diagnose-miso", "--trials", "1"],
-        }[command] + ["--seed", str(seed), "--out", str(out)]
+            "evaluate": ["evaluate", "--model", trained["model"], "--data", str(trained["data"]),
+                         "--out", str(out)],
+            "sample": ["sample", "--model", trained["model"], "-n", "5", "--out", str(out)],
+            "verify": ["verify", "--model", trained["model"]],  # prints only, so takes no --out
+            "diagnose-miso": ["diagnose-miso", "--trials", "1", "--out", str(out)],
+        }[command] + ["--seed", str(seed)]
     assert main(argv + ["--quiet"]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
@@ -1020,3 +1021,53 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["not-a-command"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command, flag", [
+    *[(command, "--config") for command in ("evaluate", "density", "sample", "diagnose-miso",
+                                            "verify")],
+    ("density", "--seed"),
+    ("verify", "--out"),
+])
+def test_flags_a_command_does_not_read_exit_2(command, flag, tmp_path, capsys):
+    # a flag the command would drop is a usage error, so no run looks configured when it is not
+    model = os.path.join(RUNS, "uniform_d2_model.json")
+    argv = {
+        "evaluate": ["--model", model, "--data", os.path.join(ROOT, "data", "uniform_d2.csv")],
+        "density": ["--model", model],
+        "sample": ["--model", model, "-n", "5", "--seed", "0"],
+        "diagnose-miso": ["--trials", "1"],
+        "verify": ["--model", model],
+    }[command]
+    value = "0" if flag == "--seed" else str(tmp_path / "given")
+    with pytest.raises(SystemExit) as exc:
+        main([command, *argv, flag, value, "--quiet"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not os.listdir(tmp_path)
+
+
+@pytest.mark.parametrize("command", [["sample", "-n", "5", "--seed", "0"], ["density"]],
+                         ids=["sample", "density"])
+def test_features_for_an_unconditional_model_exit_2(command, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    assert main([command[0], "--model", os.path.join(RUNS, "uniform_d2_model.json"),
+                 *command[1:], "--features", "0.2", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: this model is unconditional; drop --features\n"
+    assert not out.exists()
+
+
+def test_a_command_imports_no_pool_and_starts_no_thread(tmp_path):
+    run = """
+import sys, threading
+import jdan.cli
+rc = jdan.cli.main(["sample", "--model", sys.argv[1], "-n", "50", "--seed", "1", "--quiet",
+                    "--out", sys.argv[2]])
+print(rc, "concurrent.futures" in sys.modules, threading.active_count())
+"""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [SRC] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    done = subprocess.run([sys.executable, "-c", run, os.path.join(RUNS, "uniform_d2_model.json"),
+                           str(tmp_path / "draws.csv")], capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["0", "False", "1"]

@@ -186,9 +186,9 @@ def count_passes(monkeypatch):
     passes = []
     psi = marginal._psi
 
-    def counted(params, weights, a, deriv):
+    def counted(params, weights, a, deriv, *rest):
         passes.append((a.shape[-2], deriv))
-        return psi(params, weights, a, deriv)
+        return psi(params, weights, a, deriv, *rest)
 
     monkeypatch.setattr(marginal, "_psi", counted)
     return passes

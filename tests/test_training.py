@@ -30,7 +30,8 @@ from jdan.hypernet import (
     materialize,
     nfn_forward,
 )
-from jdan.model_io import load_model
+from jdan.metrics import log_score
+from jdan.model_io import load_model, load_spec_from_doc
 from jdan.training import (
     LOG_EPS,
     TrainConfig,
@@ -248,7 +249,18 @@ def test_unconditional_training_loss_is_the_evaluation_loss():
             net = initialize_net(arch, seed=21)
             net.raw[:] = rng.normal(0.0, 0.7, net.raw.shape)
             targets = rng.uniform(size=(50, dim))
-            assert nll_grad(net, arch, targets)[0] == nll_loss(net, arch, targets), activation
+            loss = nll_loss(net, arch, targets)
+            assert loss == -log_score(Forecaster(net, arch), targets)[0], activation
+            assert nll_grad(net, arch, targets)[0] == loss, activation
+
+
+def test_conditional_training_loss_is_the_evaluation_loss():
+    # training takes features already scaled; evaluation scales them itself
+    fc, doc = load_model(os.path.join(ROOT, "runs", "conditional_d2_model.json"))
+    ds = load_csv(os.path.join(ROOT, "data", "conditional_d2.csv"), load_spec_from_doc(doc))
+    scaled = fc.feature_scaler.transform(ds.features)
+    loss = nll_loss(fc.net, fc.arch, ds.targets, scaled)
+    assert loss == -log_score(fc, ds.targets, ds.features)[0]
 
 
 def test_adjoint_mutants_fail_grad_check_and_the_tape_oracle(monkeypatch):
