@@ -7,6 +7,7 @@ a data-preparation concern upstream of this library.
 """
 
 import csv
+import math
 import numbers
 from dataclasses import dataclass, field
 
@@ -110,7 +111,7 @@ def _parse_cell(text, row_number, column):
             row=row_number,
             column=column,
         ) from None
-    return value if np.isfinite(value) else None
+    return value if math.isfinite(value) else None
 
 
 def load_csv(path, spec: LoadSpec) -> Dataset:

@@ -21,8 +21,8 @@ hand-written adjoint of the layer recursion. Points are always plain arrays.
 
 One helper, ``_pass``, finds psi(L), psi(U) and the span, and is the only
 check of the span: it runs the net once over nodes from exactly L to exactly
-U and then the caller's points. Each CDF, density or table call is one such
-pass.
+U and then the caller's points. Each CDF or density call, and the table of
+``inverse_cdf``, is one such pass.
 """
 
 from dataclasses import dataclass
@@ -43,7 +43,7 @@ WEIGHT_EPS = 1e-6       # floor added to softplus so weights stay strictly posit
 DENOM_EPS = 1e-12       # below this the marginal is considered flat, hence broken
 INVERT_TOL = 1e-10
 INVERT_MAX_ITERS = 200
-TABLE_INTERVALS = 128   # the CDF table's equal intervals over [L, U]: even, for Simpson, and 2^7
+TABLE_INTERVALS = 128   # the quantile table's equal intervals over [L, U]: 2^7
 
 
 def positivity_map(raw):
@@ -273,22 +273,6 @@ def normalize(params: MarginalNetParams, y, b: Bounds, record=None):
     a, shape = _as_column(params, y)
     lower, span, psi, dpsi = _pass(params, params.effective_weights(), b, a, True, record=record)
     return ((psi[..., 2:, :] - lower) / span).reshape(shape), (dpsi / span).reshape(shape)
-
-
-def cdf_table(params: MarginalNetParams, b: Bounds, extra=None):
-    """(F on ``table_nodes(b)``, F at the extra points), from one pass through the net.
-
-    The table is (TABLE_INTERVALS + 1,) for a shared set and
-    (n, TABLE_INTERVALS + 1) for a block of n. The extra points are shaped as
-    ``normalized_cdf`` takes them, and their F comes back shaped like them.
-    Every value depends only on its point and its row's parameters.
-    """
-    if extra is None:
-        extra = np.empty(params.raw_weights[0].shape[:-2] + (0,))  # no points in any row
-    a, shape = _as_column(params, np.clip(extra, b.lower, b.upper))
-    lower, span, psi, _ = _pass(params, params.effective_weights(), b, a, table=True)
-    f, n = ((psi - lower) / span)[..., 0], TABLE_INTERVALS + 1
-    return _pinned(f[..., :n], table_nodes(b), b), _pinned(f[..., n:], a[..., 0], b).reshape(shape)
 
 
 def normalized_cdf(params: MarginalNetParams, y, b: Bounds):

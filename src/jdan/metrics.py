@@ -22,9 +22,12 @@ from .copula import joint_pdf, sample as copula_sample
 from .data import clamp_to_bounds, in_bounds_mask
 from .errors import ContractError
 from .hypernet import Forecaster
-from .marginal import TABLE_INTERVALS, cdf_table, normalized_cdf, table_nodes
-from .numerics import ks_statistic, row_blocks, simpson
+from .marginal import normalized_cdf
+from .numerics import kronrod, ks_statistic, row_blocks
 from .training import LOG_EPS
+
+CRPS_TOL = 1e-12       # |K15 - G7| allowed on each CRPS integral, per unit of bound width
+CRPS_MAX_PANELS = 64   # the finest composite K15 a failing row falls back to
 
 
 @dataclass
@@ -98,35 +101,34 @@ def crps_marginal(fc: Forecaster, targets, dim, features=None):
     """Mean over rows of the CRPS, the integral of (F(t) - step at y)^2 over the dim-th bounds.
 
     Per row it is int_L^U F^2 - 2 int_y^U F + (U - y) (Gneiting & Raftery
-    2007), so one CDF table on fixed nodes serves every observation and no
-    quadrature straddles the jump at y. From one ``cdf_table`` pass per row
-    (the table and two extra points): int F^2 by Simpson over the table, and
-    int_y^U F as the table's Simpson panels from t_e up, t_e the last even
-    node at or below y, less a 3-point Simpson panel on [t_e, y].
+    2007), so no quadrature straddles the jump at y. Both integrals are taken
+    by K15, checked by its embedded G7 to CRPS_TOL (U - L); a failing row
+    takes composite K15 on 2, 4, ..., CRPS_MAX_PANELS panels until it passes,
+    or keeps its finest value, as across a ReLU kink.
     """
     return _crps_marginal(*_model_for_rows(fc, targets, features), dim)
 
 
+def _split_crps(params, b, y, panels):
+    """(per-row CRPS, whether each row passes the check) by K15 on `panels` panels a side."""
+    def integrands(t):  # F^2 on [L, U] and F on [y, U], from one pass
+        cdf = normalized_cdf(params, np.concatenate(t, axis=-1), b)
+        return np.stack([cdf[:, :15 * panels] ** 2, cdf[:, 15 * panels:]])
+    ends = np.stack([np.full_like(y, b.lower), y])  # where the two integrals start
+    (whole, tail), err = kronrod(integrands, ends, b.upper, panels)
+    return whole - 2.0 * tail + (b.upper - y), np.all(err <= CRPS_TOL * b.width, axis=0)
+
+
 def _crps_marginal(model, targets, dim):
-    b = model.bounds[dim]
-    y_all = clamp_to_bounds(targets, model.bounds)[:, dim]
-    nodes = table_nodes(b)
-    h = b.width / TABLE_INTERVALS
-    out = np.empty(len(y_all))
-    for rows in row_blocks(len(y_all), TABLE_INTERVALS + 3):
-        y = y_all[rows]
-        # index of t_e among the even nodes, and t_e itself
-        e = np.minimum(np.floor((y - b.lower) / (2.0 * h)), TABLE_INTERVALS // 2).astype(np.intp)
-        t_e = nodes[2 * e]
-        table, at = cdf_table(model.take(rows).marginals[dim], b,
-                              np.stack([0.5 * (t_e + y), y], axis=-1))
-        table = np.broadcast_to(table, (len(y), TABLE_INTERVALS + 1))
-        panels = h / 3.0 * (table[:, :-2:2] + 4.0 * table[:, 1::2] + table[:, 2::2])
-        above = np.zeros((len(y), TABLE_INTERVALS // 2 + 1))  # above[:, k]: int F from node 2k to U
-        np.cumsum(panels[:, ::-1], axis=-1, out=above[:, -2::-1])
-        end = (y - t_e) / 6.0 * (table[np.arange(len(y)), 2 * e] + 4.0 * at[:, 0] + at[:, 1])
-        tail = above[np.arange(len(y)), e] - end
-        out[rows] = simpson(table * table, h) - 2.0 * tail + (b.upper - y)
+    b, m = model.bounds[dim], model.marginals[dim]
+    y = clamp_to_bounds(targets, model.bounds)[:, dim]
+    out, passed = np.empty(len(y)), np.zeros(len(y), dtype=bool)
+    live, panels = np.arange(len(y)), 1  # the rows still to pass
+    while live.size and panels <= CRPS_MAX_PANELS:
+        for rows in row_blocks(live.size, 30 * panels + 2):
+            i = live[rows]
+            out[i], passed[i] = _split_crps(m.take(i), b, y[i], panels)
+        live, panels = live[~passed[live]], 2 * panels
     return float(np.mean(out))
 
 

@@ -2,12 +2,13 @@
 
 The metrics score every row in one pass over a per-row parameter block.
 The reference below is the per-row path they replaced: one model per row
-from ``fc.model_for(x)``, scalar ``joint_pdf``/``normalized_cdf`` calls and
-``composite_simpson`` integrals for each CRPS observation's split. Both
+from ``fc.model_for(x)``, scalar ``joint_pdf``/``normalized_cdf`` calls and,
+for each CRPS observation's split, Kronrod sums over plain node arrays. Both
 evaluate the same arithmetic, so they agree to rounding: 1e-12 relative.
 
-The CRPS split itself is checked against the rule it replaced, Simpson on
-each side of the observation, to the two rules' quadrature error.
+The CRPS rule itself is checked against Simpson on each side of the
+observation, to the two rules' quadrature error, and against Simpson on 8192
+subintervals a side, with two committed mutants that those checks catch.
 """
 
 import json
@@ -16,7 +17,7 @@ import os
 import numpy as np
 import pytest
 
-from jdan import metrics, numerics
+from jdan import marginal, metrics, numerics
 from jdan.cli import main
 from jdan.copula import joint_pdf, sample
 from jdan.data import load_csv
@@ -54,9 +55,39 @@ def ref_pit(fc, targets, features):
     return np.array(out)
 
 
-def table_crps_rows(fc, targets, dim, features):
-    """Per row, int_L^U F^2 - 2 (int_te^U F - int_te^y F) + (U - y), te the last even
-    table node at or below y: the rule ``crps_marginal`` evaluates from its CDF table."""
+def k15(f, a, b, panels):
+    """(K15 of f over `panels` equal panels of [a, b], the panels' summed |K15 - G7|)."""
+    h = (b - a) / panels
+    mid = a + h * (np.arange(panels) + 0.5)
+    v = f(mid[:, None] + 0.5 * h * numerics.KRONROD_NODES)
+    k, g = v @ numerics.KRONROD_WEIGHTS, v[:, 1::2] @ numerics.GAUSS_WEIGHTS
+    return 0.5 * h * k.sum(), 0.5 * h * np.abs(k - g).sum()
+
+
+def kronrod_crps_rows(fc, targets, dim, features):
+    """Per row, int_L^U F^2 - 2 int_y^U F + (U - y) by K15 on 1, 2, 4, ..., 64 panels a side,
+    stopping where both integrals' |K15 - G7| are at most 1e-12 (U - L): the rule
+    ``crps_marginal`` evaluates, from one model per row."""
+    rows = features if fc.conditional else [None] * len(targets)
+    b = fc.arch.bounds[dim]
+    out = []
+    for x, y in zip(rows, targets):
+        params = fc.model_for(x).marginals[dim]
+        cdf = lambda t: normalized_cdf(params, t, b)  # noqa: E731
+        yd = float(y[dim])
+        for panels in 2 ** np.arange(7):
+            whole, whole_err = k15(lambda t: cdf(t) ** 2, b.lower, b.upper, panels)
+            tail, tail_err = k15(cdf, yd, b.upper, panels)
+            if max(whole_err, tail_err) <= 1e-12 * b.width:
+                break
+        out.append(whole - 2.0 * tail + (b.upper - yd))
+    return np.array(out)
+
+
+def simpson_table_crps_rows(fc, targets, dim, features):
+    """Per row, int_L^U F^2 - 2 (int_te^U F - int_te^y F) + (U - y) by Simpson on 128
+    intervals, te the last even node at or below y: the rule ``crps_marginal`` took
+    before K15, kept as the error the new rule must not exceed."""
     rows = features if fc.conditional else [None] * len(targets)
     b = fc.arch.bounds[dim]
     h = b.width / TABLE_INTERVALS
@@ -74,8 +105,15 @@ def table_crps_rows(fc, targets, dim, features):
     return np.array(out)
 
 
+def library_crps_rows(fc, targets, dim, features):
+    """Per row, ``crps_marginal`` on that row alone."""
+    return np.array([metrics.crps_marginal(fc, targets[i:i + 1], dim,
+                                           features[i:i + 1] if fc.conditional else None)
+                     for i in range(len(targets))])
+
+
 def ref_crps(fc, targets, dim, features):
-    return float(np.mean(table_crps_rows(fc, targets, dim, features)))
+    return float(np.mean(kronrod_crps_rows(fc, targets, dim, features)))
 
 
 def simpson_crps_rows(fc, targets, dim, features, half=128):
@@ -189,17 +227,18 @@ def test_metrics_match_per_row_reference(conditional, dim, activation):
     assert_matches_reference(fc, targets, features)
 
 
-# Both CRPS rules are composite Simpson with panels at most 2h = (U - L) / 64
-# wide: the table's on [L, U], the oracle's on [L, y] and [y, U]. On a smooth
-# integrand g Simpson errs by at most (U - L) h^4 max|g^(4)| / 180; the
-# integrands are F^2 and 2F (table) or F^2 and (1 - F)^2 (oracle). For these
+# The oracle is composite Simpson with panels at most 2h = (U - L) / 64 wide,
+# on [L, y] and [y, U]. On a smooth integrand g Simpson errs by at most
+# (U - L) h^4 max|g^(4)| / 180; the integrands are F^2 and (1 - F)^2. For these
 # models max|g^(4)|, taken by fourth differences on 4096 intervals, puts that
 # term below 2.5e-8 (sigmoid), 2.4e-7 (tanh) and 1.9e-6 (exp); linear
 # marginals have a quadratic F^2, which Simpson integrates exactly. A ReLU unit
 # that switches on inside [L, U] puts a kink in F; a panel straddling it errs
 # by up to J h^2 / 6 for the jump J <= 2 |jump of f| in g', at most 6.5e-5 here,
-# and each of the 5 hidden units can switch once. Either rule is within its
-# term of the true CRPS, so the two agree to twice that.
+# and each of the 5 hidden units can switch once. The K15 rule's own error is
+# far smaller: its G7 check asks for 1e-12 (U - L), and on 64 panels across a
+# ReLU kink it is no farther off than the Simpson table it replaced (the
+# steep-marginal test below). So the two agree to twice the Simpson term.
 SIMPSON_ERROR = {"sigmoid": 2.5e-8, "tanh": 2.4e-7, "exp": 1.9e-6, "linear": 1e-14,
                  "relu": 5 * 6.5e-5}
 
@@ -213,23 +252,97 @@ def test_crps_split_matches_per_side_simpson_oracle(conditional, dim, activation
     clamped = np.clip(targets, [b.lower for b in fc.arch.bounds],
                       [b.upper for b in fc.arch.bounds])
     for d in range(dim):
-        table = table_crps_rows(fc, clamped, d, features)
+        rule = kronrod_crps_rows(fc, clamped, d, features)
         oracle = simpson_crps_rows(fc, clamped, d, features)
-        assert np.max(np.abs(table - oracle)) <= 2.0 * SIMPSON_ERROR[activation]
+        assert np.max(np.abs(rule - oracle)) <= 2.0 * SIMPSON_ERROR[activation]
+
+
+def bundled(name):
+    fc, doc = load_model(os.path.join(ROOT, "runs", f"{name}_model.json"))
+    ds = load_csv(os.path.join(ROOT, "data", f"{name}.csv"), load_spec_from_doc(doc))
+    return fc, ds.targets, (ds.features if fc.conditional else None)
+
+
+def bundled_crps_error(name, rows=40):
+    """Largest |per-row CRPS - Simpson on 8192 subintervals a side| over both dimensions
+    of the first rows: the oracle is exact to ~1e-16 on these smooth marginals."""
+    fc, targets, features = bundled(name)
+    targets, features = targets[:rows], None if features is None else features[:rows]
+    return max(np.max(np.abs(library_crps_rows(fc, targets, d, features)
+                             - simpson_crps_rows(fc, targets, d, features, half=8192)))
+               for d in range(2))
 
 
 @pytest.mark.parametrize("name", ["uniform_d2", "conditional_d2"])
-def test_bundled_crps_is_within_1e_9_of_fine_simpson(name):
-    # 8192 subintervals a side make the oracle exact to ~1e-16 on these smooth
-    # marginals; over all 2000 rows the table rule stayed within 1.1e-10 of it
-    fc, doc = load_model(os.path.join(ROOT, "runs", f"{name}_model.json"))
-    ds = load_csv(os.path.join(ROOT, "data", f"{name}.csv"), load_spec_from_doc(doc))
-    rows = slice(0, 40)
-    features = ds.features[rows] if fc.conditional else None
+def test_bundled_crps_is_within_1e_12_of_fine_simpson(name):
+    assert bundled_crps_error(name) <= 1e-12
+
+
+def test_crps_mutant_without_the_width_term_fails_the_fine_simpson_check(monkeypatch):
+    """A rule dropping (U - y) fails test_bundled_crps_is_within_1e_12_of_fine_simpson."""
+    split = metrics._split_crps
+
+    def without_width(params, b, y, panels):
+        value, ok = split(params, b, y, panels)
+        return value - (b.upper - y), ok
+
+    monkeypatch.setattr(metrics, "_split_crps", without_width)
+    assert bundled_crps_error("uniform_d2", rows=5) > 1e-12
+
+
+@pytest.mark.parametrize("name", ["uniform_d2", "conditional_d2"])
+def test_bundled_crps_passes_its_check_at_32_points_per_row(monkeypatch, name):
+    # per row: psi(L), psi(U) and 15 nodes on each of [L, U] and [y, U]; a shared set
+    # takes psi(L) and psi(U) once per pass. More points would mean a fallback row.
+    fc, targets, features = bundled(name)
+    points = []
+    psi = marginal._psi
+    monkeypatch.setattr(marginal, "_psi",
+                        lambda *a, **kw: points.append(np.size(a[2])) or psi(*a, **kw))
+    n = len(targets)
     for d in range(2):
-        table = table_crps_rows(fc, ds.targets[rows], d, features)
-        fine = simpson_crps_rows(fc, ds.targets[rows], d, features, half=8192)
-        assert np.max(np.abs(table - fine)) <= 1e-9
+        points.clear()
+        metrics.crps_marginal(fc, targets, d, features)
+        assert len(points) == len(numerics.row_blocks(n, 32))
+        assert sum(points) == (32 * n if fc.conditional else 30 * n + 2 * len(points))
+
+
+STEEP = 5.0  # scales a make_forecaster model's raw parameters into steep marginals
+
+
+def steep_crps_errors(activation):
+    """Per row and dimension of a steep model: |CRPS - Simpson on 8192 subintervals a
+    side| for crps_marginal and for the Simpson table it replaced, and whether
+    crps_marginal took its fallback (handed the net more than 30 points a row)."""
+    fc = make_forecaster(False, 2, activation)
+    fc.net.raw[:] *= STEEP
+    targets, _ = make_rows(fc, 20, outside=0.0)
+    widest = []
+    cdf = metrics.normalized_cdf
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(metrics, "normalized_cdf",
+                   lambda m, t, b: widest.append(np.shape(t)[-1]) or cdf(m, t, b))
+        new = np.array([library_crps_rows(fc, targets, d, None) for d in range(2)])
+    fine = np.array([simpson_crps_rows(fc, targets, d, None, half=8192) for d in range(2)])
+    old = np.array([simpson_table_crps_rows(fc, targets, d, None) for d in range(2)])
+    return np.abs(new - fine), np.abs(old - fine), max(widest) > 30
+
+
+@pytest.mark.parametrize("activation", ACTIVATIONS)
+def test_steep_crps_is_no_farther_from_fine_simpson_than_the_table(activation):
+    # below 1e-12 both sit at the fine oracle's rounding
+    new, old, fallback = steep_crps_errors(activation)
+    assert np.all(new <= np.maximum(old, 1e-12))
+    if activation in ("tanh", "relu"):
+        assert fallback
+
+
+def test_crps_mutant_that_never_falls_back_fails_the_steep_check(monkeypatch):
+    """A check with an infinite tolerance fails
+    test_steep_crps_is_no_farther_from_fine_simpson_than_the_table on tanh."""
+    monkeypatch.setattr(metrics, "CRPS_TOL", np.inf)
+    new, old, fallback = steep_crps_errors("tanh")
+    assert not fallback and not np.all(new <= np.maximum(old, 1e-12))
 
 
 @pytest.mark.parametrize("activation", ACTIVATIONS)
@@ -242,11 +355,10 @@ def test_batched_joint_pdf_matches_per_row_models(dim, activation):
     np.testing.assert_allclose(batched, per_row, rtol=RTOL)
 
 
-# BLOCK_POINTS values that put the 41 rows below in one block, one block plus
-# one row (log score and PIT: 40 rows; CRPS: 40 rows of 131 points, as 40 * 258
-# did for the per-side rule before the CRPS table), and many blocks (5 rows, or
-# one row per block)
-@pytest.mark.parametrize("block_points", [16384, 40, 40 * 258, 40 * 131, 5])
+# BLOCK_POINTS values that put the 41 rows below in one block (16384, and for CRPS
+# also 40 * 258 and 40 * 131), one block plus one row (log score and PIT: 40; CRPS:
+# 40 rows of 32 points), and many blocks (5 rows, or one row per block)
+@pytest.mark.parametrize("block_points", [16384, 40, 40 * 258, 40 * 131, 40 * 32, 5])
 @pytest.mark.parametrize("n_rows", [1, 41])
 @pytest.mark.parametrize("conditional", [True, False], ids=["conditional", "unconditional"])
 def test_chunk_boundaries(monkeypatch, conditional, n_rows, block_points):

@@ -228,8 +228,8 @@ def test_crps_mean_over_rows():
 
 
 def test_crps_hands_at_most_131_points_per_row_to_the_net(monkeypatch):
-    # one pass per row over the 129-node table plus y and one midpoint; the
-    # per-side rule it replaced evaluated 2 x 129 points
+    # the bound of the 129-node Simpson table plus two points, which the Kronrod
+    # rule's 32 points per row keep well inside (pinned in test_batched_eval)
     from jdan import marginal
 
     points = []

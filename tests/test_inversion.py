@@ -27,7 +27,6 @@ from jdan.marginal import (
     INVERT_MAX_ITERS,
     INVERT_TOL,
     TABLE_INTERVALS,
-    cdf_table,
     inverse_cdf,
     normalized_cdf,
     normalized_pdf,
@@ -142,14 +141,11 @@ def test_block_rows_are_bitwise_one_row_shared_sets(activation, hidden):
     p = rng.random((6, 40))
     for d, b in enumerate(block.bounds):
         quantiles = inverse_cdf(block.marginals[d], p, b)
-        table, at = cdf_table(block.marginals[d], b, quantiles)
         y = rng.uniform(b.lower, b.upper, (6, 40))
         cdf, pdf = normalized_cdf(block.marginals[d], y, b), normalized_pdf(block.marginals[d], y, b)
         for i, one in enumerate(alone):
             m = one.marginals[d]
             np.testing.assert_array_equal(quantiles[i], inverse_cdf(m, p[i], b))
-            np.testing.assert_array_equal(table[i], cdf_table(m, b)[0])
-            np.testing.assert_array_equal(at[i], cdf_table(m, b, quantiles[i])[1])
             np.testing.assert_array_equal(cdf[i], normalized_cdf(m, y[i], b))
             np.testing.assert_array_equal(pdf[i], normalized_pdf(m, y[i], b))
     pts = np.column_stack([rng.uniform(lo, hi, len(raw)) for lo, hi in BOUNDS])

@@ -18,7 +18,6 @@ from jdan.marginal import (
     Bounds,
     MarginalNetParams,
     _psi,
-    cdf_table,
     inverse_cdf,
     normalize,
     normalized_cdf,
@@ -205,7 +204,7 @@ def test_inverse_rejects_bad_probability():
 
 @pytest.mark.parametrize("rows", [None, 3], ids=["shared", "per_row"])
 def test_passes_through_the_net_per_call(rows, monkeypatch):
-    # psi(L) and psi(U) ride in the one pass of every CDF, density and table call,
+    # psi(L) and psi(U) ride in the one pass of every CDF and density call,
     # normalize's too
     arch = unit_arch(dim=2)
     raw = np.random.default_rng(0).normal(size=(rows or 1, arch.param_count()))
@@ -218,8 +217,6 @@ def test_passes_through_the_net_per_call(rows, monkeypatch):
     monkeypatch.setattr(marginal, "_psi", lambda *a, **kw: passes.append(1) or psi(*a, **kw))
     for call, want in ((lambda: normalized_cdf(m, y, b), 1),
                        (lambda: normalized_pdf(m, y, b), 1),
-                       (lambda: cdf_table(m, b), 1),
-                       (lambda: cdf_table(m, b, y), 1),
                        (lambda: normalize(m, y, b), 1),
                        (lambda: joint_pdf(model, pts), model.dim)):
         passes.clear()
