@@ -224,11 +224,6 @@ def getitem(a, idx):
     return _node(av[idx], (a, bwd))
 
 
-def sumall(a):
-    av = value(a)
-    return _node(np.asarray(np.sum(av)), (a, lambda g: np.broadcast_to(g, np.shape(av)).copy()))
-
-
 def mean(a):
     av = value(a)
     n = np.size(av)

@@ -8,7 +8,6 @@ seeds — there are no wall-clock defaults anywhere.
 
 import argparse
 import dataclasses
-import itertools
 import json
 import numbers
 import os
@@ -16,7 +15,7 @@ import sys
 
 import numpy as np
 
-from . import model_io
+from . import model_io, render
 from .activations import KINDS
 from .copula import grid_pdf, joint_cdf, joint_pdf, mixed_partial_fd, sample as model_sample
 from .data import ColumnScaler, LoadSpec, fit_bounds, load_csv
@@ -72,19 +71,22 @@ def _emit(args, path, parts, note=None):
 def _csv(header, table, axes=()):
     """Header line, then one line per row at full float precision; a part per block of rows.
 
-    With grid axes, row r starts with point r of the axes' product (the last
-    axis varying fastest), each axis value formatted once, and the table holds
-    only the columns after it.
+    Every value's text is exactly ``'%.17g' % v`` (``render.cells``). With grid
+    axes, row r starts with point r of the axes' product (the last axis varying
+    fastest), each axis value rendered once, and the table holds only the
+    columns after it.
     """
     table = np.asarray(table, dtype=np.float64)
-    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
-    texts = [["%.17g," % v for v in a.tolist()] for a in axes]
-    # a formatted number holds no "%", so a point's text can stand in the format itself
-    points = map("".join, itertools.product(*texts)) if axes else itertools.repeat("")
+    points = [render.cells(a) for a in axes]  # (text, end) of each axis value
+    shape = [len(a) for a in axes]
     yield ",".join(header) + "\n"
     for rows in row_blocks(len(table)):
-        block = table[rows]
-        yield (row.join(itertools.islice(points, len(block))) + row) % tuple(block.ravel().tolist())
+        text, end = render.cells(table[rows])
+        if axes:  # each row's point, then its values
+            at = np.unravel_index(np.arange(rows.start, rows.start + len(end)), shape)
+            text = np.column_stack([t.take(i) for (t, _), i in zip(points, at)] + [text])
+            end = np.column_stack([e.take(i) for (_, e), i in zip(points, at)] + [end])
+        yield render.lines(text, end)
 
 
 def _load_config(args):

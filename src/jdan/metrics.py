@@ -110,8 +110,15 @@ def crps_marginal(fc: Forecaster, targets, dim, features=None):
 
 
 def _split_crps(params, b, y, panels):
-    """(per-row CRPS, whether each row passes the check) by K15 on `panels` panels a side."""
+    """(per-row CRPS, whether each row passes the check) by K15 on `panels` panels a side.
+
+    A shared set's [L, U] nodes are every row's, and each of its values depends
+    only on its point, so it takes them once, for the bits of every row.
+    """
     def integrands(t):  # F^2 on [L, U] and F on [y, U], from one pass
+        if params.rows is None:  # the first row's [L, U] nodes, then every row's [y, U] nodes
+            cdf = normalized_cdf(params, np.concatenate([t[0, :1], t[1]]), b)
+            return np.stack(np.broadcast_arrays(cdf[:1] ** 2, cdf[1:]))
         cdf = normalized_cdf(params, np.concatenate(t, axis=-1), b)
         return np.stack([cdf[:, :15 * panels] ** 2, cdf[:, 15 * panels:]])
     ends = np.stack([np.full_like(y, b.lower), y])  # where the two integrals start

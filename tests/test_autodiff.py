@@ -7,6 +7,12 @@ from jdan import autodiff as ad
 from jdan.numerics import sigmoid as np_sigmoid
 
 
+def sumall(a):
+    """The sum of a's entries as a scalar node."""
+    av = ad.value(a)
+    return ad.custom(a, np.asarray(np.sum(av)), lambda g: np.broadcast_to(g, np.shape(av)).copy())
+
+
 def fd_grad(f, x, h=1e-6):
     """Central-difference gradient of scalar f at array x."""
     g = np.zeros_like(x)
@@ -37,15 +43,15 @@ def check_op(build, x, h=1e-6, tol=1e-6):
 def test_add_sub_mul_div_grads():
     rng = np.random.default_rng(0)
     x = rng.normal(size=(3, 4)) + 3.0
-    check_op(lambda t: ad.sumall(ad.add(t, ad.mul(t, t))), x)
-    check_op(lambda t: ad.sumall(ad.sub(ad.mul(t, t), t)), x)
-    check_op(lambda t: ad.sumall(ad.div(t, ad.add(t, ad.leaf(np.ones_like(x))))), x)
+    check_op(lambda t: sumall(ad.add(t, ad.mul(t, t))), x)
+    check_op(lambda t: sumall(ad.sub(ad.mul(t, t), t)), x)
+    check_op(lambda t: sumall(ad.div(t, ad.add(t, ad.leaf(np.ones_like(x))))), x)
 
 
 def test_operator_overloads_match_functions():
     a = ad.leaf(np.array([1.0, 2.0]))
     b = ad.leaf(np.array([3.0, 5.0]))
-    root = ad.sumall((a + b) * a - b / a + (-a))
+    root = sumall((a + b) * a - b / a + (-a))
     ad.backward(root)
     # f = sum(a^2 + ab - b/a - a); df/da = 2a + b + b/a^2 - 1, df/db = a - 1/a
     np.testing.assert_allclose(a.grad, 2 * a.data + b.data + b.data / a.data**2 - 1)
@@ -67,7 +73,7 @@ def test_broadcast_unbroadcast_shapes():
     a = ad.leaf(rng.normal(size=(4, 3)))
     b = ad.leaf(rng.normal(size=(1, 3)))
     c = ad.leaf(np.array(1.5))
-    root = ad.sumall(ad.mul(ad.add(a, b), c))
+    root = sumall(ad.mul(ad.add(a, b), c))
     ad.backward(root)
     assert a.grad.shape == (4, 3)
     assert b.grad.shape == (1, 3)
@@ -94,12 +100,12 @@ def test_affine_grads(layout):
     coeff = rng.normal(size=want.shape)
 
     def loss(a, w, b):
-        return ad.sumall(ad.mul(ad.affine(a, w, b), coeff))
+        return sumall(ad.mul(ad.affine(a, w, b), coeff))
 
     check_op(lambda t: loss(t, w, b), a)
     check_op(lambda t: loss(a, t, b), w)
     check_op(lambda t: loss(a, w, t), b)
-    check_op(lambda t: ad.sumall(ad.mul(ad.affine(a, t), coeff)), w)  # no bias
+    check_op(lambda t: sumall(ad.mul(ad.affine(a, t), coeff)), w)  # no bias
 
 
 def test_affine_plain_weights_give_each_row_its_own_bits():
@@ -131,14 +137,14 @@ def test_affine_per_row_block_gives_each_row_its_own_bits():
 def test_broadcast_to_grad():
     rng = np.random.default_rng(5)
     x, coeff = rng.normal(size=(4, 1, 3)), rng.normal(size=(2, 4, 5, 3))
-    check_op(lambda t: ad.sumall(ad.mul(ad.broadcast_to(t, coeff.shape), coeff)), x)
+    check_op(lambda t: sumall(ad.mul(ad.broadcast_to(t, coeff.shape), coeff)), x)
 
 
 def test_reshape_grad():
     rng = np.random.default_rng(3)
     x = rng.normal(size=(2, 5))
     coeff = np.arange(10.0).reshape(5, 2)
-    check_op(lambda t: ad.sumall(ad.mul(ad.reshape(t, (5, 2)), ad.leaf(coeff))), x)
+    check_op(lambda t: sumall(ad.mul(ad.reshape(t, (5, 2)), ad.leaf(coeff))), x)
 
 
 def test_ops_on_plain_arrays_build_no_graph():
@@ -148,7 +154,7 @@ def test_ops_on_plain_arrays_build_no_graph():
         ad.add(x, x), ad.sub(x, 1.0), ad.mul(x, x), ad.div(x, 2.0),
         ad.affine(x, w, np.ones(2)), ad.affine(x, w), ad.reshape(x, (4,)), ad.getitem(x, 0),
         ad.broadcast_to(x, (3, 2, 2)),
-        ad.sumall(x), ad.mean(x), ad.log(x), ad.exp(x),
+        sumall(x), ad.mean(x), ad.log(x), ad.exp(x),
         ad.tanh(x), ad.sigmoid(x), ad.softplus(x), ad.relu(x), ad.step(x),
     ]
     for out in outs:
@@ -158,7 +164,7 @@ def test_ops_on_plain_arrays_build_no_graph():
 def test_getitem_scatter_grad():
     x = np.arange(6.0).reshape(2, 3)
     t = ad.leaf(x.copy())
-    root = ad.sumall(ad.mul(t[:, 1], ad.leaf(np.array([10.0, 20.0]))))
+    root = sumall(ad.mul(t[:, 1], ad.leaf(np.array([10.0, 20.0]))))
     ad.backward(root)
     want = np.zeros_like(x)
     want[:, 1] = [10.0, 20.0]
@@ -182,11 +188,11 @@ def test_elementwise_values_and_grads(op, ref):
     t = ad.leaf(x.copy())
     node = op(t)
     np.testing.assert_allclose(node.data, ref(x), rtol=1e-12)
-    root = ad.sumall(node)
+    root = sumall(node)
     ad.backward(root)
 
     def f(arr):
-        return float(ad.sumall(op(ad.leaf(arr))).data)
+        return float(sumall(op(ad.leaf(arr))).data)
 
     np.testing.assert_allclose(t.grad, fd_grad(f, x), rtol=1e-5, atol=1e-7)
 
@@ -194,7 +200,7 @@ def test_elementwise_values_and_grads(op, ref):
 def test_sigmoid_grad_uses_value_identity():
     x = np.array([-30.0, 0.0, 30.0])
     t = ad.leaf(x)
-    ad.backward(ad.sumall(ad.sigmoid(t)))
+    ad.backward(sumall(ad.sigmoid(t)))
     a = np_sigmoid(x)
     np.testing.assert_allclose(t.grad, a * (1 - a), atol=1e-15)
     assert np.all(np.isfinite(t.grad))
@@ -203,7 +209,7 @@ def test_sigmoid_grad_uses_value_identity():
 def test_step_has_zero_gradient():
     x = np.array([-1.0, 0.5, 2.0])
     t = ad.leaf(x.copy())
-    root = ad.sumall(ad.mul(ad.step(t), ad.leaf(np.array([3.0, 4.0, 5.0]))))
+    root = sumall(ad.mul(ad.step(t), ad.leaf(np.array([3.0, 4.0, 5.0]))))
     np.testing.assert_array_equal(ad.step(ad.leaf(x)).data, [0.0, 1.0, 1.0])
     ad.backward(root)
     # step contributes nothing upstream; the tape encodes that as "never
@@ -221,7 +227,7 @@ def test_mean_grad():
 def test_grad_accumulates_across_uses():
     x = np.array([2.0])
     t = ad.leaf(x)
-    root = ad.sumall(ad.add(ad.mul(t, t), ad.mul(t, t)))  # 2 x^2
+    root = sumall(ad.add(ad.mul(t, t), ad.mul(t, t)))  # 2 x^2
     ad.backward(root)
     np.testing.assert_allclose(t.grad, [8.0])  # 4x
 
@@ -232,7 +238,7 @@ def test_grad_linearity_in_root_scale():
 
     def run(scale):
         t = ad.leaf(x.copy())
-        ad.backward(ad.mul(ad.sumall(ad.tanh(t)), ad.leaf(np.array(scale))))
+        ad.backward(ad.mul(sumall(ad.tanh(t)), ad.leaf(np.array(scale))))
         return t.grad.copy()
 
     np.testing.assert_allclose(run(3.0), 3.0 * run(1.0), rtol=1e-14)
@@ -241,7 +247,7 @@ def test_grad_linearity_in_root_scale():
 def test_needs_flag_prunes_gradients():
     a = ad.leaf(np.array([1.0, 2.0]))  # leaves receive gradients
     b = ad.Tensor(np.array([3.0, 4.0]))  # bare tensors are constants
-    root = ad.sumall(ad.mul(a, b))
+    root = sumall(ad.mul(a, b))
     ad.backward(root)
     np.testing.assert_allclose(a.grad, b.data)
     assert b.grad is None
@@ -270,7 +276,7 @@ def test_second_order_structure_through_derivative_chain():
     t = ad.leaf(np.array(x0))
     a = ad.sigmoid(t)
     d1 = ad.mul(a, ad.sub(ad.leaf(np.array(1.0)), a))  # sigmoid'(x) via value
-    ad.backward(ad.sumall(d1))
+    ad.backward(sumall(d1))
     # d/dx sigmoid'(x) = sigmoid''(x) = a(1-a)(1-2a)
     s = float(np_sigmoid(np.array(x0)))
     want = s * (1 - s) * (1 - 2 * s)

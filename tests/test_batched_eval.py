@@ -293,7 +293,8 @@ def test_crps_mutant_without_the_width_term_fails_the_fine_simpson_check(monkeyp
 @pytest.mark.parametrize("name", ["uniform_d2", "conditional_d2"])
 def test_bundled_crps_passes_its_check_at_32_points_per_row(monkeypatch, name):
     # per row: psi(L), psi(U) and 15 nodes on each of [L, U] and [y, U]; a shared set
-    # takes psi(L) and psi(U) once per pass. More points would mean a fallback row.
+    # takes psi(L), psi(U) and the [L, U] nodes once per pass. More points would mean a
+    # fallback row.
     fc, targets, features = bundled(name)
     points = []
     psi = marginal._psi
@@ -304,7 +305,7 @@ def test_bundled_crps_passes_its_check_at_32_points_per_row(monkeypatch, name):
         points.clear()
         metrics.crps_marginal(fc, targets, d, features)
         assert len(points) == len(numerics.row_blocks(n, 32))
-        assert sum(points) == (32 * n if fc.conditional else 30 * n + 2 * len(points))
+        assert sum(points) == (32 * n if fc.conditional else 15 * n + 17 * len(points))
 
 
 STEEP = 5.0  # scales a make_forecaster model's raw parameters into steep marginals

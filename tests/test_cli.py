@@ -355,6 +355,17 @@ def test_csv_outputs_match_per_cell_rendering(trained, tmp_path, capsys):
     targets = load_csv(str(test_csv), load_spec_from_doc(doc)).targets
     assert pit_path.read_text() == per_cell_csv(["u1", "u2"], pit_values(fc, targets))
 
+    # whole numbers as in the train history, beside fixed and exponent notation, +-0, inf,
+    # nan and values next to 1e-4 and 1e17, over three blocks
+    rng = np.random.default_rng(12)
+    edges = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 1e-4, -1e-4, 1e17, 1e16, 1e300]
+    edges += [np.nextafter(v, t) for v in (1e-4, -1e-4, 1e17) for t in (-np.inf, np.inf)]
+    n = 9000
+    table = np.column_stack([np.arange(1.0, n + 1), rng.choice(edges, n),
+                             rng.standard_normal(n) * 10.0 ** rng.integers(-9, 20, n)])
+    header = ["epoch", "a", "b"]
+    assert "".join(cli._csv(header, table)) == per_cell_csv(header, table)
+
 
 @pytest.fixture(scope="module")
 def model_d3(tmp_path_factory):
