@@ -6,9 +6,10 @@ makes positive-weighted networks monotone. Only "exp" has nonnegative
 derivatives of every order; it is offered for completeness but kept out
 of default training setups because it explodes or vanishes easily.
 
-``apply``, ``slope`` and ``curvature`` take ndarrays or tape nodes alike (see
-``autodiff``), so the networks in ``marginal`` and ``hypernet`` run the same
-code for evaluation and for training, and ``miso`` uses the same table.
+``apply`` takes ndarrays or tape nodes alike (see ``autodiff``), since the
+conditioning net in ``hypernet`` runs on the tape in training. ``slope`` and
+``curvature`` take plain arrays: the marginal nets in ``marginal`` and the
+diagnostics in ``miso`` use them off the tape.
 """
 
 import numpy as np
@@ -26,7 +27,7 @@ _TABLE = {
                 lambda x, z: z * (1.0 - z) * (1.0 - 2.0 * z)),
     "tanh": (ad.tanh, lambda x, z: 1.0 - z * z, lambda x, z: -2.0 * z * (1.0 - z * z)),
     "linear": (lambda x: x, lambda x, z: 1.0, lambda x, z: 0.0),
-    "relu": (ad.relu, lambda x, z: ad.step(x), lambda x, z: 0.0),
+    "relu": (ad.relu, lambda x, z: (np.asarray(x) > 0).astype(np.float64), lambda x, z: 0.0),
     "exp": (ad.exp, lambda x, z: z, lambda x, z: z),
 }
 

@@ -2,8 +2,11 @@
 
 Every op is array-generic: given only plain arrays (or numbers) it returns a
 plain ndarray and records nothing; given at least one ``Tensor`` it returns a
-``Tensor`` wired into the graph. One body of model code therefore serves both
-numpy evaluation and training. Build the graph by passing leaves created with
+``Tensor`` wired into the graph. So the conditioning net, ``nfn_forward``,
+serves both evaluation and training. The tape ends there: training's batch
+density is one ``custom`` node with a hand-written backward (see
+``training``), and the marginal nets, the combiner and ``materialize`` take
+plain arrays only. Build the graph by passing leaves created with
 ``leaf()``, call ``backward`` on a scalar result, and read ``.grad`` off the
 leaves.
 
@@ -19,7 +22,8 @@ from .numerics import sigmoid as _sigmoid_np
 
 class Tensor:
     __slots__ = ("data", "grad", "parents", "bwd", "needs")
-    # numpy defers `ndarray <op> Tensor` to the Tensor's reflected operator
+    # numpy ufuncs refuse a Tensor, so `ndarray <op> Tensor` raises rather than
+    # building an object array
     __array_ufunc__ = None
 
     def __init__(self, data, parents=(), bwd=(), needs=False):
@@ -33,40 +37,14 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def ndim(self):
-        return self.data.ndim
-
     def reshape(self, shape):
         return reshape(self, shape)
 
     def __add__(self, other):
         return add(self, other)
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
     def __neg__(self):
         return mul(self, -1.0)
-
-    def __getitem__(self, idx):
-        return getitem(self, idx)
 
 
 def leaf(data):
@@ -120,25 +98,11 @@ def add(a, b):
                  (b, lambda g: _unbroadcast(g, np.shape(bv))))
 
 
-def sub(a, b):
-    av, bv = value(a), value(b)
-    return _node(np.subtract(av, bv),
-                 (a, lambda g: _unbroadcast(g, np.shape(av))),
-                 (b, lambda g: _unbroadcast(-g, np.shape(bv))))
-
-
 def mul(a, b):
     av, bv = value(a), value(b)
     return _node(np.multiply(av, bv),
                  (a, lambda g: _unbroadcast(g * bv, np.shape(av))),
                  (b, lambda g: _unbroadcast(g * av, np.shape(bv))))
-
-
-def div(a, b):
-    av, bv = value(a), value(b)
-    return _node(np.divide(av, bv),
-                 (a, lambda g: _unbroadcast(g / bv, np.shape(av))),
-                 (b, lambda g: _unbroadcast(-g * av / (bv * bv), np.shape(bv))))
 
 
 def affine(a, w, b=None):
@@ -201,27 +165,9 @@ def reshape(a, shape):
     return _node(np.reshape(av, shape), (a, lambda g: g.reshape(np.shape(av))))
 
 
-def broadcast_to(a, shape):
-    av = value(a)
-    return _node(np.broadcast_to(av, shape), (a, lambda g: _unbroadcast(g, np.shape(av))))
-
-
 def custom(a, out, bwd):
     """out, computed from a outside the tape, as a node; bwd maps out's gradient to a's."""
     return _node(out, (a, bwd))
-
-
-def getitem(a, idx):
-    # idx must not select the same element twice (plain assignment below,
-    # not scatter-add); ints, slices, Ellipsis and tuples of those are fine.
-    av = value(a)
-
-    def bwd(g):
-        full = np.zeros_like(av)
-        full[idx] = g
-        return full
-
-    return _node(av[idx], (a, bwd))
 
 
 def mean(a):
@@ -250,19 +196,9 @@ def sigmoid(a):
     return _node(out, (a, lambda g: g * out * (1.0 - out)))
 
 
-def softplus(a):
-    av = value(a)
-    return _node(np.logaddexp(0.0, av), (a, lambda g: g * _sigmoid_np(av)))
-
-
 def relu(a):
     av = value(a)
     return _node(np.maximum(av, 0.0), (a, lambda g: g * (av > 0)))
-
-
-def step(a):
-    """Heaviside with value 0 at 0; gradient defined as zero everywhere."""
-    return _node((np.asarray(value(a)) > 0).astype(np.float64), (a, None))
 
 
 def backward(root: Tensor):

@@ -35,7 +35,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import autodiff as ad
 from .errors import BracketError, ContractError, EvaluationError
 from .marginal import inverse_cdf, normalize, normalized_cdf
 
@@ -55,13 +54,13 @@ def pair_indices(dim):
 class CorrelationParams:
     """Unconstrained pairwise parameters, (pairs,) or (n, pairs) per row.
 
-    tanh squashes them into (-1, 1). They may be tape nodes (see ``autodiff``).
+    tanh squashes them into (-1, 1).
     """
 
     raw: np.ndarray
 
     def __post_init__(self):
-        raw = ad.array(self.raw)
+        raw = np.asarray(self.raw, dtype=np.float64)
         self.raw = raw.reshape((1,)) if raw.ndim == 0 else raw
         if self.raw.ndim > 2:
             raise ContractError("correlations carry at most one leading row axis")
@@ -71,7 +70,7 @@ class CorrelationParams:
         return self.raw.shape[0] if self.raw.ndim == 2 else None
 
     def effective(self):
-        return ad.tanh(self.raw)
+        return np.tanh(self.raw)
 
 
 @dataclass
@@ -183,7 +182,7 @@ def joint_cdf(model: JdanModel, y):
 def _density(model: JdanModel, cols):
     """Joint density at the points the D columns y_d make when broadcast together.
 
-    Marginal d runs once per entry of column d; the parameters may be tape nodes.
+    Marginal d runs once per entry of column d.
     """
     box = [np.clip(y, b.lower, b.upper) for y, b in zip(cols, model.bounds)]
     cdfs, pdfs = zip(*(normalize(m, y, b) for y, m, b in zip(box, model.marginals, model.bounds)))
@@ -239,10 +238,9 @@ def combine_adjoint(corr: CorrelationParams, cdfs, pdfs, g):
 def joint_pdf(model: JdanModel, y):
     """Joint density: copula density at the CDF values times marginal densities.
 
-    Points outside the box have density 0. The model's parameters may be
-    tape nodes, and then so is the result. Training's density node runs the
-    same kernels on plain arrays (see ``training``); this taped form is the
-    oracle its gradient is tested against.
+    Points outside the box have density 0. Training's density node runs the
+    same kernels, ``normalize`` and ``combine``, and differentiates them
+    with their hand-written adjoints (see ``training``).
     """
     pts, scalar = _as_points(y, model.dim, model.rows)
     dens = _density(model, list(pts.T))

@@ -97,16 +97,15 @@ def materialize(raw, arch: ArchitectureDescriptor) -> JdanModel:
     """Reshape a raw vector (P,), or a block of per-row vectors (n, P), into a model.
 
     Every finite raw vector is valid; a non-finite entry raises ConfigError.
-    The raw vector may be a tape node, and then so are the model's parameters.
     """
-    raw = ad.array(raw)
+    raw = np.asarray(raw, dtype=np.float64)
     spans, corr_span = arch.partition()
     if raw.ndim not in (1, 2) or raw.shape[-1] != corr_span[1]:
         raise ContractError(
             f"raw parameters have shape {raw.shape}; architecture needs "
             f"({corr_span[1]},) or (n, {corr_span[1]})"
         )
-    if not np.all(np.isfinite(ad.value(raw))):
+    if not np.all(np.isfinite(raw)):
         raise ConfigError("raw parameters must be finite")
     lead = raw.shape[:-1]
     marginals = []
@@ -221,11 +220,19 @@ def initialize_net(arch: ArchitectureDescriptor, seed) -> ConditioningNet:
 def nfn_forward(net: ConditioningNet, x):
     """Map features to the flat raw vector; (F,) -> (P,) or (n, F) -> (n, P).
 
-    The net's parameters may be tape nodes, and then so is the result. A
-    non-finite result raises EvaluationError.
+    An unconditional net takes x None, or (n, 0) for n copies of its raw
+    vector; features with a column raise ContractError. The net's parameters
+    may be tape nodes, and then so is the result. A non-finite result raises
+    EvaluationError.
     """
+    if x is None:
+        if net.input_dim:
+            raise ContractError(f"a conditional net needs features: {net.input_dim} per row")
+        x = np.zeros(0)
     x = np.asarray(x, dtype=np.float64)
     if net.input_dim == 0:
+        if x.ndim and x.shape[-1]:
+            raise ContractError(f"an unconditional net takes no features, got {x.shape[-1]}")
         rows = x.shape[:1] if x.ndim == 2 else ()
         a = net.raw + np.zeros(rows + net.raw.shape)  # a fresh array, or a tape node
     else:
@@ -239,7 +246,7 @@ def nfn_forward(net: ConditioningNet, x):
             pre = ad.affine(a, w, b)
             a = pre if k == last else activations.apply(net.activation, pre)
         if x.ndim == 1:
-            a = a[0]
+            a = a.reshape(a.shape[1:])
     if not np.all(np.isfinite(ad.value(a))):
         raise EvaluationError("the conditioning net emitted non-finite parameters")
     return a

@@ -14,10 +14,9 @@ Parameters are either one shared set, weights (out, in) and biases (out,),
 or a block of n per-row sets, weights (n, out, in) and biases (n, out). With
 a block, every function here takes points whose leading axis has length n,
 shape (n,) or (n, k), and evaluates row i's points under row i's parameters.
-The parameters may also be tape nodes (see ``autodiff``), and ``normalize``
-then gives tape nodes. Training instead runs ``normalize`` on plain arrays,
+Parameters and points are plain arrays. Training runs ``normalize``,
 recording the pass, and differentiates it with ``normalize_adjoint``, a
-hand-written adjoint of the layer recursion. Points are always plain arrays.
+hand-written adjoint of the layer recursion.
 
 One helper, ``_pass``, finds psi(L), psi(U) and the span, and is the only
 check of the span: it runs the net once over nodes from exactly L to exactly
@@ -48,7 +47,7 @@ TABLE_INTERVALS = 128   # the quantile table's equal intervals over [L, U]: 2^7
 
 def positivity_map(raw):
     """Map unconstrained reals to strictly positive weights: softplus + eps."""
-    return ad.softplus(raw) + WEIGHT_EPS
+    return np.logaddexp(0.0, raw) + WEIGHT_EPS
 
 
 @dataclass
@@ -143,10 +142,9 @@ def _psi(params, weights, a, deriv, record=None):
     deriv is True for every point, or a slice of a's points (its second-last
     axis) to take d psi / dy at those alone. The chain rule runs layer by
     layer beside the forward pass, so the derivative is exact and, with
-    positive weights, never negative. With plain parameters, each value
-    depends only on its point and its row's parameters (see
-    ``autodiff.affine``), so row i of a block gives the bits of the one-row
-    set made of row i's parameters alone.
+    positive weights, never negative. Each value depends only on its point
+    and its row's parameters (see ``autodiff.affine``), so row i of a block
+    gives the bits of the one-row set made of row i's parameters alone.
 
     Given a list, record gets one entry per layer, (w, a, d, pre, e, z, s),
     for ``normalize_adjoint``: the layer's weights, its value input a and
@@ -162,8 +160,8 @@ def _psi(params, weights, a, deriv, record=None):
         pre = ad.affine(a, w, b)
         z = s = e = None
         if deriv:  # the first layer's inputs are all ones, and it has no bias: e is w broadcast
-            e = ad.affine(d, w) if d is not None else ad.broadcast_to(
-                w[..., None, :, 0], ad.value(pre)[..., rows, :].shape)
+            e = ad.affine(d, w) if d is not None else np.broadcast_to(
+                w[..., None, :, 0], pre[..., rows, :].shape)
         if k < last:
             z = activations.apply(params.activation, pre)
             if deriv:
@@ -173,10 +171,10 @@ def _psi(params, weights, a, deriv, record=None):
         if k == last:
             a, d = pre, e
         else:
-            if s is not None and deriv is not True and np.ndim(ad.value(s)):
+            if s is not None and deriv is not True and np.ndim(s):
                 s = s[..., rows, :]  # at deriv's points; a linear slope is the number 1.0
             a, d = z, (None if s is None else s * e)
-        if not np.isfinite(ad.value(a)).all():
+        if not np.isfinite(a).all():
             raise EvaluationError(f"non-finite activation in marginal layer {k}", layer=k)
     return a, d
 
@@ -256,17 +254,17 @@ def _pass(params, weights, b: Bounds, a, deriv=False, table=False, record=None):
     k = nodes.shape[-2]
     lower = psi[..., :1, :]
     span = psi[..., k - 1:k, :] - lower
-    if np.any(ad.value(span) < DENOM_EPS):
+    if np.any(span < DENOM_EPS):
         raise DegenerateMarginalError(
             f"marginal is flat over [{b.lower}, {b.upper}] "
-            f"(span {float(np.min(ad.value(span))):.3e}); "
+            f"(span {float(np.min(span)):.3e}); "
             "the model cannot represent a distribution on these bounds"
         )
     return lower, span, psi, dpsi
 
 
 def normalize(params: MarginalNetParams, y, b: Bounds, record=None):
-    """(F(y), f(y)) at points y inside [L, U], from one pass; tape-node parameters give tape nodes.
+    """(F(y), f(y)) at points y inside [L, U], from one pass.
 
     Given a list, record gets the pass's layers (see ``_psi``) for ``normalize_adjoint``.
     """

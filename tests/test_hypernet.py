@@ -217,6 +217,13 @@ def test_nfn_forward_rejects_bad_features():
         nfn_forward(net, np.zeros(3))
     with pytest.raises(ContractError):
         nfn_forward(net, np.array([np.nan, 0.0]))
+    with pytest.raises(ContractError, match="needs features"):
+        nfn_forward(net, None)
+    # an unconditional net refuses a feature column rather than dropping it
+    net = initialize_net(unit_arch(dim=2), seed=0)
+    for x in (np.zeros((5, 3)), np.zeros(3)):
+        with pytest.raises(ContractError, match="no features"):
+            nfn_forward(net, x)
 
 
 def test_conditioning_net_validation():

@@ -96,6 +96,30 @@ def test_newton_agrees_with_bisection_oracle(activation, rows, hidden):
         assert np.max(np.abs(back - normalized_cdf(m, want, b))) <= 2.0 * INVERT_TOL
 
 
+def worst_round_trip(activation):
+    """max |F(inverse_cdf(p)) - p| over both marginals of eight random models."""
+    worst = 0.0
+    for seed in range(8):
+        rng = np.random.default_rng(seed)
+        model, _ = random_model(rng, 2, hidden=(8,), scale=2.0, activation=activation)
+        p = rng.random(500)
+        for m, b in zip(model.marginals, model.bounds):
+            worst = max(worst, np.max(np.abs(normalized_cdf(m, inverse_cdf(m, p, b), b) - p)))
+    return worst
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+def test_quantiles_round_trip_within_1e_10(activation):
+    # the bound is written out: read from INVERT_TOL, it would loosen with the tolerance
+    assert worst_round_trip(activation) <= 1e-10
+
+
+def test_inversion_tolerance_mutant_fails_the_round_trip(monkeypatch):
+    monkeypatch.setattr(marginal, "INVERT_TOL", 1e-3)
+    for activation in ("relu", "tanh"):
+        assert worst_round_trip(activation) > 1e-10, activation
+
+
 def test_newton_needs_few_passes(monkeypatch):
     # bisection spends ~33 CDF evaluations per call; a Hermite start from the table and
     # one check pass settle most points, and Newton needs at most two passes more
