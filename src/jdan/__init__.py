@@ -27,7 +27,6 @@ from .hypernet import (
     ArchitectureDescriptor,
     ConditioningNet,
     Forecaster,
-    flatten,
     initialize_net,
     materialize,
     nfn_forward,
@@ -62,7 +61,6 @@ __all__ = [
     "evaluate_forecaster",
     "find_negative_witness",
     "fit_bounds",
-    "flatten",
     "grad_check",
     "initialize_net",
     "inverse_cdf",

@@ -5,9 +5,10 @@ unconstrained reals, partitioned as: marginal 1 weight layers (row-major),
 marginal 1 bias layers, marginal 2 weights, marginal 2 biases, ..., then
 the pairwise correlation parameters. ``materialize`` reshapes such a
 vector into a model (positivity/tanh squashes are applied downstream at
-evaluation, so every finite raw vector yields a valid model) and
-``flatten`` inverts it exactly. A block of n raw vectors, shape (n, P),
-becomes one model whose parameters carry a leading row axis.
+evaluation, so every finite raw vector yields a valid model), and
+``raw_block`` concatenates raw parameters back in that order. A block of
+n raw vectors, shape (n, P), becomes one model whose parameters carry a
+leading row axis.
 
 A ConditioningNet maps a forecast feature vector to that raw vector, which
 makes the predicted joint density depend on the features. With input_dim 0
@@ -122,11 +123,6 @@ def materialize(raw, arch: ArchitectureDescriptor) -> JdanModel:
         )
     corr = CorrelationParams(raw=raw[..., corr_span[0]:corr_span[1]])
     return JdanModel(dim=arch.dim, marginals=marginals, correlations=corr, bounds=list(arch.bounds))
-
-
-def flatten(model: JdanModel) -> np.ndarray:
-    """Inverse of materialize: concatenate raw parameters in partition order."""
-    return raw_block([(m.raw_weights, m.biases) for m in model.marginals], model.correlations.raw)
 
 
 def raw_block(marginals, corr):
@@ -273,9 +269,13 @@ class Forecaster:
         """The model for one feature vector (F,), or a per-row model for a block (n, F).
 
         Row i of a block gets the bits of a one-row call for x[i]. An
-        unconditional forecaster returns its one shared model whatever x is.
+        unconditional forecaster returns its one shared model for None or for
+        features with no column, and refuses any feature.
         """
         if not self.conditional:
+            width = np.shape(np.atleast_1d(x))[-1] if x is not None else 0
+            if width:
+                raise ContractError(f"an unconditional forecaster takes no features, got {width}")
             return self._fixed
         if x is None:
             raise ContractError("a conditional model needs a feature vector")

@@ -21,7 +21,9 @@ hand-written adjoint of the layer recursion.
 One helper, ``_pass``, finds psi(L), psi(U) and the span, and is the only
 check of the span: it runs the net once over nodes from exactly L to exactly
 U and then the caller's points. Each CDF or density call, and the table of
-``inverse_cdf``, is one such pass.
+``inverse_cdf``, is one such pass. ``inverse_cdf`` finds each probability's
+bracket in that table through a guide table over p (``_guide``,
+``_brackets``) in a few exact comparisons, not by a search.
 """
 
 from dataclasses import dataclass
@@ -43,6 +45,7 @@ DENOM_EPS = 1e-12       # below this the marginal is considered flat, hence brok
 INVERT_TOL = 1e-10
 INVERT_MAX_ITERS = 200
 TABLE_INTERVALS = 128   # the quantile table's equal intervals over [L, U]: 2^7
+GUIDE_CELLS = 512       # the bracket lookup's equal cells of p over [0, 1]: 2^9
 
 
 def positivity_map(raw):
@@ -307,6 +310,47 @@ def _hermite(x0, x1, h, f0, f1):
         return x0, m0, 3.0 * dx - 2.0 * m0 - m1, m0 + m1 - 2.0 * dx
 
 
+def _guide(top):
+    """The bracket lookup's tables for CDF tables top (rows, nodes), nondecreasing from 0.
+
+    A guide table (Chen & Asau 1974; Devroye 1986, ch. III): p's [0, 1] is cut
+    into GUIDE_CELLS equal cells, and cell c of row r holds the flat index
+    r (nodes - 1) + j of the last interval j whose left F is <= c / GUIDE_CELLS.
+    As GUIDE_CELLS is a power of 2, top[j] <= c / GUIDE_CELLS exactly when
+    ceil(top[j] GUIDE_CELLS) <= c, so one bincount of those ceilings, offset
+    by row, and its running sum give every cell of every row. Also returns F
+    at each interval's right node, flat, with the last interval's taken as
+    inf, so that no point steps out of its row.
+    """
+    rows = len(top)
+    cells = np.ceil(top[:, :-1] * GUIDE_CELLS).astype(np.intp)
+    cells += (GUIDE_CELLS + 1) * np.arange(rows)[:, None]
+    first = np.cumsum(np.bincount(cells.ravel(), minlength=rows * (GUIDE_CELLS + 1))) - 1
+    right = top[:, 1:].copy()
+    right[:, -1] = np.inf
+    return first, right.ravel()
+
+
+def _brackets(guide, p):
+    """Per p (rows, k), the flat index of its bracket in ``_guide``'s tables.
+
+    That is r (nodes - 1) + j, with j the last interval whose left F is <= p:
+    ``np.searchsorted(top[r], p, side="right") - 1``, short of the last node
+    where p = 1 lands. Each p starts at its cell's entry and steps right while
+    the next node's F is still <= p. Every comparison is exact, so the index
+    is the search's even on flat stretches of F.
+    """
+    first, right = guide
+    cell = (p * GUIDE_CELLS).astype(np.intp)  # floor: p * GUIDE_CELLS is exact
+    cell += (GUIDE_CELLS + 1) * np.arange(len(p))[:, None]
+    i = first[cell]
+    while True:
+        up = right[i] <= p
+        if not up.any():
+            return i
+        i += up
+
+
 def _settle(params, weights, b: Bounds, lower, span, bracket, p):
     """Quantiles (rows, k) of p (rows, k) from one check pass and Newton (see ``inverse_cdf``).
 
@@ -356,7 +400,10 @@ def inverse_cdf(params: MarginalNetParams, p, b: Bounds):
     interpolant (``_hermite``) of the adjacent nodes whose F brackets it, or at
     their midpoint where that start is not finite or leaves the bracket. One
     pass without the derivative checks the starts, a block of points at a time
-    (``numerics.row_blocks``), so a call of one block makes two passes. Points
+    (``numerics.row_blocks``), so a call of one block makes two passes. Each
+    block looks its brackets up in a guide table built once per call
+    (``_guide``, ``_brackets``), the same brackets as a binary search of the
+    table's running maximum, so nothing the size of all points is kept. Points
     it leaves live run safeguarded Newton (``rtsafe``): each step gets F and f
     from one pass, and a point bisects its bracket when the Newton point is
     not finite, leaves the bracket or fails to halve the step before last.
@@ -373,20 +420,19 @@ def inverse_cdf(params: MarginalNetParams, p, b: Bounds):
     lower, span, psi, dpsi = _pass(params, weights, b, q[..., :0, :], deriv=True, table=True)
     table = _pinned(((psi - lower) / span).reshape(-1, TABLE_INTERVALS + 1), nodes, b)
     flat = q.reshape(len(table), -1)  # each table row's p: (1, m) shared, (n, k) per row
-    # the node i with F[i] <= p < F[i + 1], short of U where p = 1 lands: the last node
-    # whose running maximum of F is <= p, which keeps that even where rounding leaves F
-    # unsorted by an ulp; as a flat index into the table
-    top = np.maximum.accumulate(table, axis=-1)
-    i = np.stack([np.searchsorted(t, v, side="right") for t, v in zip(top, flat)])
-    i = np.minimum(i - 1, TABLE_INTERVALS - 1) + (TABLE_INTERVALS + 1) * np.arange(len(i))[:, None]
-    # per table interval: the start's coefficients, F at its left node, its rise in F
-    # and its right node, side by side so that one gather serves a point
-    f, xs, table = (dpsi / span).ravel(), np.tile(nodes, len(table)), table.ravel()
-    h = np.diff(table)
-    coef = np.stack(_hermite(xs[:-1], xs[1:], h, f[:-1], f[1:]) + (table[:-1], h, xs[1:]))
+    # brackets by the table's running maximum, which rises even where rounding leaves F
+    # unsorted by an ulp
+    guide = _guide(np.maximum.accumulate(table, axis=-1))
+    # per table interval, row by row: the start's coefficients, F at its left node, its
+    # rise in F and its right node, side by side so that one gather serves a point
+    xs = np.broadcast_to(nodes, table.shape)
+    f, h = (dpsi / span).reshape(table.shape), np.diff(table)
+    coef = np.stack(_hermite(xs[:, :-1], xs[:, 1:], h, f[:, :-1], f[:, 1:])
+                    + (table[:, :-1], h, xs[:, 1:])).reshape(7, -1)
     x = np.empty(flat.shape)
     for cols in row_blocks(flat.shape[-1], len(flat)):
-        x[:, cols] = _settle(params, weights, b, lower, span, coef[:, i[:, cols]],
-                             flat[:, cols])
+        block = flat[:, cols]
+        x[:, cols] = _settle(params, weights, b, lower, span,
+                             np.take(coef, _brackets(guide, block), axis=1), block)
     out = x.reshape(shape)
     return float(out) if out.ndim == 0 else out

@@ -70,7 +70,7 @@ def _model_for_rows(fc: Forecaster, targets, features):
         raise ContractError(f"target row {i} is not finite: {targets[i].tolist()}")
     if fc.conditional and features is None:
         raise ContractError("conditional forecaster needs features")
-    model = fc.model_for(np.atleast_2d(features) if fc.conditional else None)
+    model = fc.model_for(None if features is None else np.atleast_2d(features))
     if model.rows not in (None, len(targets)):
         raise ContractError(f"{model.rows} feature rows for {len(targets)} target rows")
     return model, targets

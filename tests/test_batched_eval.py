@@ -22,13 +22,13 @@ from jdan.cli import main
 from jdan.copula import joint_pdf, sample
 from jdan.data import load_csv
 from jdan.errors import ContractError
-from jdan.hypernet import ArchitectureDescriptor, Forecaster, flatten, initialize_net, materialize
+from jdan.hypernet import ArchitectureDescriptor, Forecaster, initialize_net, materialize
 from jdan.marginal import TABLE_INTERVALS, normalized_cdf, table_nodes
 from jdan.model_io import load_model, load_spec_from_doc
 from jdan.numerics import composite_simpson
 from jdan.training import LOG_EPS
 
-from conftest import unit_arch
+from conftest import flatten, unit_arch
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 ACTIVATIONS = ["sigmoid", "tanh", "linear", "relu", "exp"]

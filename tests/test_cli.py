@@ -1,6 +1,7 @@
 """CLI surface: train/evaluate/density/sample/verify end to end, exit codes."""
 
 import csv
+import hashlib
 import itertools
 import json
 import os
@@ -229,6 +230,23 @@ def test_sample_deterministic_bytes(trained, tmp_path):
     vals = np.array(rows[1:], dtype=float)
     assert vals.shape == (200, 2)
     assert np.all((vals >= 0) & (vals <= 1))
+
+
+# sha256 of `sample -n 20000 --seed 7` on the committed models, the conditional one at
+# --features 0.2: a kernel change that moves one draw fails here
+SAMPLE_SHA256 = {
+    "uniform_d2": "590c49fb80df2436c422f0a2ffe54591ab00cfd7ce752e1d9ebae22343f2f068",
+    "conditional_d2": "104d8150cf5588d5c3b094595decc985b451dd05575620e3aab32eb73b9fa677",
+}
+
+
+@pytest.mark.parametrize("name, features", [("uniform_d2", []),
+                                            ("conditional_d2", ["--features", "0.2"])])
+def test_committed_models_sample_pinned_bytes(name, features, tmp_path):
+    out = tmp_path / "draws.csv"
+    assert main(["sample", "--model", os.path.join(RUNS, f"{name}_model.json"), "-n", "20000",
+                 "--seed", "7", "--out", str(out), "--quiet"] + features) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SAMPLE_SHA256[name]
 
 
 

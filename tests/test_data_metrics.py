@@ -275,6 +275,23 @@ def test_metrics_refuse_non_finite_targets(metric, bad):
         metric(uniform_forecaster(), y)
 
 
+@pytest.mark.parametrize("metric", [
+    lambda fc, y, x: log_score(fc, y, x),
+    lambda fc, y, x: crps_marginal(fc, y, 0, x),
+    lambda fc, y, x: pit_values(fc, y, x).tolist(),
+    lambda fc, y, x: energy_score(fc, y, x, m_samples=4),
+    lambda fc, y, x: evaluate_forecaster(fc, y, x, m_samples=4).to_json(),
+], ids=["log_score", "crps", "pit_values", "energy", "evaluate"])
+def test_unconditional_metrics_refuse_stray_features(metric):
+    # the features were dropped unread, where the CLI and nfn_forward refuse them
+    fc, y = uniform_forecaster(), np.random.default_rng(8).random((50, 2))
+    for x in (np.zeros((50, 3)), np.zeros((7, 3)), np.full((50, 3), np.nan)):
+        with pytest.raises(ContractError, match="takes no features, got 3"):
+            metric(fc, y, x)
+    want = metric(fc, y, None)
+    assert metric(fc, y, np.empty((50, 0))) == want
+
+
 def test_pit_values_uniform_model_identity():
     # uniform marginals: PIT of y is y itself
     fc = uniform_forecaster()

@@ -11,7 +11,6 @@ from jdan.hypernet import (
     ArchitectureDescriptor,
     ConditioningNet,
     Forecaster,
-    flatten,
     initialize_net,
     materialize,
     nfn_forward,
@@ -19,7 +18,7 @@ from jdan.hypernet import (
 from jdan.marginal import Bounds, positivity_map
 from jdan.model_io import load_model
 
-from conftest import unit_arch
+from conftest import flatten, unit_arch
 
 
 def test_param_count_hand_check():
@@ -250,8 +249,10 @@ def test_forecaster_modes():
     fc = Forecaster(initialize_net(arch, seed=1), arch)
     assert not fc.conditional
     m1 = fc.model_for()
-    m2 = fc.model_for(np.array([3.0]))  # features ignored when unconditional
-    assert m1 is m2  # same fixed model instance
+    assert fc.model_for(np.zeros((4, 0))) is m1  # same fixed model instance
+    for x in (np.array([3.0]), np.zeros((50, 3)), 3.0):  # a stray feature is refused
+        with pytest.raises(ContractError, match="an unconditional forecaster takes no features"):
+            fc.model_for(x)
 
     carch = unit_arch(dim=2, feature_dim=1)
     cfc = Forecaster(initialize_net(carch, seed=1), carch)

@@ -12,6 +12,10 @@ block-against-one-point tests check that bitwise.
 On the bundled models each start from the table already meets the tolerance,
 so a call makes two net passes; the pass tests pin that, and a broken start
 shows there as extra Newton passes, since Newton still finds the quantiles.
+
+Each start's bracket comes from a guide table over p; its oracle is
+``np.searchsorted`` on the table's running maximum, which it must equal
+index for index on tables built to trip it.
 """
 
 import os
@@ -22,7 +26,7 @@ import pytest
 from jdan import marginal
 from jdan.copula import joint_pdf, sample
 from jdan.errors import InversionError
-from jdan.hypernet import ArchitectureDescriptor, flatten, materialize
+from jdan.hypernet import ArchitectureDescriptor, materialize
 from jdan.marginal import (
     INVERT_MAX_ITERS,
     INVERT_TOL,
@@ -35,7 +39,7 @@ from jdan.marginal import (
 )
 from jdan.model_io import load_model
 
-from conftest import random_model
+from conftest import bracket_mismatches, flatten, random_model
 
 ACTIVATIONS = ["sigmoid", "tanh", "linear", "relu", "exp"]
 # raw parameter scale; stacked exp layers with N(0, 1) parameters overflow on these bounds
@@ -65,6 +69,10 @@ def bisect_inverse_cdf(params, p, b):
         hi = np.where(active & left, mid, hi)
         lo = np.where(active & ~left, mid, lo)
     raise InversionError("bisection did not converge")
+
+
+def test_guide_table_brackets_equal_searchsorted():
+    assert bracket_mismatches() == 0
 
 
 def make_model(activation, hidden, rows, seed):

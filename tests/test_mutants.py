@@ -2,20 +2,24 @@
 
 A check that passes on working code shows something only if it fails on broken
 code (DeMillo, Lipton & Sayward 1978). Each case runs the check on a bundled
-model, first as committed, then under the mutant.
+model, or the bracket lookup's on its adversarial tables, first as committed,
+then under the mutant.
 """
 
 import os
 
+import numpy as np
 import pytest
 
-from jdan import activations
+from jdan import activations, marginal
 from jdan import autodiff as ad
 from jdan.cli import main
 from jdan.data import load_csv
 from jdan.model_io import load_model, load_spec_from_doc
 from jdan.numerics import sigmoid as np_sigmoid
 from jdan.training import grad_check
+
+from conftest import bracket_mismatches
 
 RUNS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "runs")
 
@@ -49,3 +53,36 @@ def test_doubled_sigmoid_backward_fails_grad_check(monkeypatch):
     monkeypatch.setitem(activations._TABLE, "sigmoid",
                         (doubled,) + activations._TABLE["sigmoid"][1:])
     assert grad_check(fc.net, fc.arch, y, x, max_coords=40) > 1e-4
+
+
+class _FloorForCeil:
+    """numpy as the marginal module sees it, with floor where it calls ceil."""
+
+    def __getattr__(self, name):
+        return np.floor if name == "ceil" else getattr(np, name)
+
+
+def _floor_for_ceil(monkeypatch):
+    monkeypatch.setattr(marginal, "np", _FloorForCeil())
+
+
+def _one_cell_right(monkeypatch):
+    guide = marginal._guide
+
+    def shifted(top):  # each cell takes the entry of the cell to its right
+        first, right = guide(top)
+        return np.append(first[1:], first[-1]), right
+
+    monkeypatch.setattr(marginal, "_guide", shifted)
+
+
+@pytest.mark.parametrize("mutate", [_floor_for_ceil, _one_cell_right],
+                         ids=["floor_for_ceil", "one_cell_right"])
+def test_guide_table_mutant_fails_the_searchsorted_check(monkeypatch, mutate):
+    # floor files a node whose F lies inside a cell under the cell before it, so points in
+    # the lower part of that cell start past their bracket; an entry read one cell to the
+    # right does the same wherever a node's F falls inside the point's own cell. The check
+    # is ``test_inversion.py::test_guide_table_brackets_equal_searchsorted``
+    assert bracket_mismatches() == 0
+    mutate(monkeypatch)
+    assert bracket_mismatches() > 0

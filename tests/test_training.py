@@ -25,7 +25,6 @@ from jdan.errors import (
 from jdan.hypernet import (
     ArchitectureDescriptor,
     Forecaster,
-    flatten,
     initialize_net,
     materialize,
     nfn_forward,
