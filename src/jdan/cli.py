@@ -3,7 +3,8 @@
 Subcommands: train, evaluate, density, sample, diagnose-miso, verify.
 Exit codes: 0 success, 2 usage/config/data problem, 3 numerical failure
 (including verify-battery violations). All randomness flows from explicit
-seeds — there are no wall-clock defaults anywhere.
+seeds — there are no wall-clock defaults anywhere. ``verify`` prints the
+checks of ``jdan.verify.battery``, which holds every check and its bound.
 """
 
 import argparse
@@ -17,14 +18,14 @@ import numpy as np
 
 from . import model_io, render
 from .activations import KINDS
-from .copula import grid_pdf, joint_cdf, joint_pdf, mixed_partial_fd, sample as model_sample
+from .copula import grid_pdf, sample as model_sample
 from .data import ColumnScaler, LoadSpec, fit_bounds, load_csv
 from .errors import ConfigError, ContractError, DataError, JdanError
 from .hypernet import ArchitectureDescriptor, Forecaster
-from .marginal import inverse_cdf, normalized_cdf
+from .marginal import normalized_cdf  # noqa: F401  unused here; perfbench reads it by this name
 from .metrics import evaluate_forecaster
 from .miso import find_negative_witness
-from .numerics import row_blocks, simpson
+from .numerics import row_blocks
 from .training import TrainConfig, train
 
 # the keys each config section accepts; any other key is a usage error
@@ -336,90 +337,10 @@ def cmd_diagnose_miso(args):
     return 0
 
 
-def _verify_battery(model, level, seed):
-    """(check name, passed, detail) per invariant, each from batched calls; a NaN fails."""
-    rng = np.random.default_rng(seed)
-    lower = model.box_lower()
-    upper = model.box_upper()
-    checks = []
-
-    def rand_points(n):
-        return lower + (upper - lower) * rng.random((n, model.dim))
-
-    faces = np.where(np.eye(model.dim, dtype=bool), lower, upper)  # face d: y_d at its lower bound
-    c = joint_cdf(model, np.vstack([lower, upper, faces]))
-    lo, up = c[:2].tolist()
-    checks.append(("lower corner cdf == 0", abs(lo) <= 1e-12, f"{lo:.3e}"))
-    checks.append(("upper corner cdf == 1", abs(up - 1.0) <= 1e-12, f"{up - 1.0:.3e}"))
-    worst = float(np.max(np.abs(c[2:])))
-    checks.append(("lower faces cdf == 0", worst <= 1e-12, f"{worst:.3e}"))
-
-    pts = rand_points(500)
-    c = joint_cdf(model, pts)
-    ok = bool(np.all(c >= -1e-12) and np.all(c <= 1.0 + 1e-12))
-    checks.append(("cdf within [0,1]", ok, f"range [{c.min():.3e}, {c.max():.6f}]"))
-    p = joint_pdf(model, pts)
-    checks.append(("pdf nonnegative", bool(np.all(p >= 0.0)), f"min {p.min():.3e}"))
-
-    n_pairs_check = 2000 if level == "quick" else 10000
-    a = rand_points(n_pairs_check)
-    b = a + (upper - a) * rng.random(a.shape)  # b >= a coordinatewise, in box
-    diff = joint_cdf(model, b) - joint_cdf(model, a)
-    checks.append(
-        ("cdf monotone on random pairs", bool(np.all(diff >= -1e-12)), f"min diff {diff.min():.3e}")
-    )
-
-    grid = np.linspace(lower, upper, 50).T  # row d runs y_d across its bounds
-    ys = np.tile(upper, (model.dim, 50, 1))  # block d: grid row d as y_d, the rest at upper
-    ys[range(model.dim), :, range(model.dim)] = grid
-    joint = joint_cdf(model, ys.reshape(-1, model.dim)).reshape(model.dim, 50)
-    marg = [normalized_cdf(m, g, m_b) for m, g, m_b in zip(model.marginals, grid, model.bounds)]
-    worst = float(np.max(np.abs(joint - marg)))
-    checks.append(("margins reproduce marginal cdf", worst <= 1e-12, f"max {worst:.3e}"))
-
-    ps = rng.random((model.dim, 50))
-    back = [normalized_cdf(m, inverse_cdf(m, q, m_b), m_b)
-            for m, q, m_b in zip(model.marginals, ps, model.bounds)]
-    worst = float(np.max(np.abs(back - ps)))
-    checks.append(("quantile/cdf round trip", worst <= 1e-8, f"max {worst:.3e}"))
-
-    if level == "full":
-        h = 1e-3 * (upper - lower)
-        span = upper - lower
-        interior = lower + span * (0.05 + 0.9 * rng.random((25, model.dim)))
-        fd = np.array([mixed_partial_fd(model, y, h) for y in interior])
-        an = joint_pdf(model, interior)
-        scale = np.maximum(np.maximum(np.abs(an), np.abs(fd)), 1e-12)
-        worst = float(np.max(np.abs(an - fd) / scale))
-        checks.append(("density matches FD mixed partial", worst <= 1e-3, f"max rel {worst:.3e}"))
-
-        if model.dim <= 3:
-            total = _simpson_box_integral(model, n=48)
-            checks.append(
-                ("density integrates to 1 (simpson)", 0.999 <= total <= 1.001, f"{total:.6f}")
-            )
-        elif model.dim == 4:
-            pts = rand_points(200000)
-            vol = float(np.prod(upper - lower))
-            total = float(np.mean(joint_pdf(model, pts))) * vol
-            checks.append(
-                ("density integrates to 1 (monte carlo)", 0.98 <= total <= 1.02, f"{total:.4f}")
-            )
-    return checks
-
-
-def _simpson_box_integral(model, n=48):
-    """Tensor-product Simpson integral of the joint density over the box (D <= 3)."""
-    n += n % 2
-    dens = grid_pdf(model, [np.linspace(b.lower, b.upper, n + 1) for b in model.bounds])
-    dens = dens.reshape([n + 1] * model.dim)
-    for b in reversed(model.bounds):  # integrate out the last axis each time
-        dens = simpson(dens, (b.upper - b.lower) / n)
-    return float(dens)
-
-
 def cmd_verify(args):
-    checks = _verify_battery(_model(args), args.level, _seed(args))
+    from . import verify  # here, so that no other command pays for importing it
+
+    checks = verify.battery(_model(args), args.level, _seed(args))
     failures = 0
     for name, ok, detail in checks:
         failures += 0 if ok else 1

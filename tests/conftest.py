@@ -5,9 +5,9 @@ from hypothesis import settings
 
 from jdan import marginal
 from jdan.activations import apply, slope
-from jdan.copula import joint_pdf
+from jdan.copula import joint_pdf, n_pairs
 from jdan.errors import ContractError
-from jdan.hypernet import ArchitectureDescriptor, materialize, raw_block
+from jdan.hypernet import ArchitectureDescriptor, initialize_net, materialize, raw_block
 from jdan.marginal import GUIDE_CELLS, TABLE_INTERVALS, positivity_map
 
 # every run draws the same examples and writes no example database (.hypothesis/)
@@ -40,6 +40,17 @@ def random_model(rng, dim, hidden=(8,), scale=1.0, activation="sigmoid", bounds=
         )
     raw = rng.normal(0.0, scale, size=arch.param_count())
     return materialize(raw, arch), arch
+
+
+def fgm_net(dim, c):
+    """(net, arch) of an unconditional model with F_d(y) = y on the unit box and every
+    correlation c: linear marginals, so the model is the combiner itself, an FGM copula on
+    uniform margins."""
+    arch = unit_arch(dim, (4,), activation="linear")
+    net = initialize_net(arch, seed=0)
+    net.raw[:] = 0.0
+    net.raw[-n_pairs(dim):] = np.arctanh(c)
+    return net, arch
 
 
 def flatten(model):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from jdan import cli
-from jdan.cli import _simpson_box_integral, main
+from jdan.cli import main
 from jdan.copula import joint_pdf, sample
 from jdan.data import load_csv
 from jdan.errors import EvaluationError
@@ -21,6 +21,7 @@ from jdan import marginal
 from jdan.hypernet import ArchitectureDescriptor, Forecaster, initialize_net
 from jdan.metrics import pit_values
 from jdan.model_io import load_model, load_spec_from_doc, save_model
+from jdan.verify import battery, simpson_mass
 
 from conftest import random_model, simpson_integral
 
@@ -671,7 +672,7 @@ def test_committed_reports_are_reproduced(name, report, pit_csv, energy, tmp_pat
 @pytest.mark.parametrize("dim, n", [(2, 64), (3, 48)])
 def test_box_integral_matches_oracle(dim, n):
     model, _ = random_model(np.random.default_rng(dim), dim=dim)
-    assert abs(_simpson_box_integral(model, n) - simpson_integral(model, n)) <= 1e-12
+    assert abs(simpson_mass(model, n) - simpson_integral(model, n)) <= 1e-12
 
 
 @pytest.mark.parametrize("name, features", [("uniform_d2", []),
@@ -680,13 +681,14 @@ def test_verify_full_passes_on_bundled_models(name, features, capsys):
     model = os.path.join(RUNS, f"{name}_model.json")
     assert main(["verify", "--model", model, "--level", "full"] + features) == 0
     out = capsys.readouterr().out
-    assert out.count("pass  ") == 10 and "FAIL" not in out
+    assert out.count("pass  ") == 12 and "FAIL" not in out
     assert "density integrates to 1 (simpson)" in out
-    assert out.endswith("verify: all 10 checks passed\n")
+    assert out.endswith("verify: all 12 checks passed\n")
 
 
 # `verify --level full` stdout on the committed models, captured before the battery was batched
-# (the round-trip maxima since inversion starts from the CDF table)
+# (the round-trip maxima since inversion starts from the CDF table, the sampler's two lines since
+# the battery checks the sampler)
 PINNED_VERIFY = {"uniform_d2": [], "conditional_d2": ["--features", "0.2"]}
 PINNED_VERIFY_OUT = {
     "uniform_d2": (
@@ -700,7 +702,9 @@ PINNED_VERIFY_OUT = {
         'pass  quantile/cdf round trip  (max 1.580e-12)\n'
         'pass  density matches FD mixed partial  (max rel 6.282e-08)\n'
         'pass  density integrates to 1 (simpson)  (1.000000)\n'
-        'verify: all 10 checks passed\n'
+        "pass  draws' PIT uniform per dimension  (max KS 3.195e-03)\n"
+        "pass  draws' Spearman rho == C/(3P) per pair  (max error 1.672e-03)\n"
+        'verify: all 12 checks passed\n'
     ),
     "conditional_d2": (
         'pass  lower corner cdf == 0  (0.000e+00)\n'
@@ -713,7 +717,9 @@ PINNED_VERIFY_OUT = {
         'pass  quantile/cdf round trip  (max 7.274e-12)\n'
         'pass  density matches FD mixed partial  (max rel 1.359e-07)\n'
         'pass  density integrates to 1 (simpson)  (1.000000)\n'
-        'verify: all 10 checks passed\n'
+        "pass  draws' PIT uniform per dimension  (max KS 3.195e-03)\n"
+        "pass  draws' Spearman rho == C/(3P) per pair  (max error 1.663e-03)\n"
+        'verify: all 12 checks passed\n'
     ),
 }
 
@@ -1034,13 +1040,12 @@ def test_bundled_models_save_back_byte_identical(name, tmp_path):
 
 
 def test_verify_battery_fails_on_nan(trained):
-    from jdan.cli import _verify_battery
     from jdan.copula import CorrelationParams
     from jdan.model_io import load_model
 
     model = load_model(trained["model"])[0].model_for()
     model.correlations = CorrelationParams(raw=[np.nan])
-    results = {name: ok for name, ok, _ in _verify_battery(model, "quick", 0)}
+    results = {name: ok for name, ok, _ in battery(model, "quick", 0)}
     assert not results["lower faces cdf == 0"]
     assert not results["margins reproduce marginal cdf"]
     assert results["quantile/cdf round trip"]  # the marginals are intact
@@ -1087,16 +1092,18 @@ def test_features_for_an_unconditional_model_exit_2(command, tmp_path, capsys):
 
 
 def test_a_command_imports_no_pool_and_starts_no_thread(tmp_path):
+    # and the runtime needs numpy alone: verify's rank and KS checks import no scipy
     run = """
 import sys, threading
 import jdan.cli
 rc = jdan.cli.main(["sample", "--model", sys.argv[1], "-n", "50", "--seed", "1", "--quiet",
                     "--out", sys.argv[2]])
-print(rc, "concurrent.futures" in sys.modules, threading.active_count())
+rc += jdan.cli.main(["verify", "--model", sys.argv[1], "--level", "full", "--quiet"])
+print(rc, "concurrent.futures" in sys.modules, threading.active_count(), "scipy" in sys.modules)
 """
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [SRC] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
     done = subprocess.run([sys.executable, "-c", run, os.path.join(RUNS, "uniform_d2_model.json"),
                            str(tmp_path / "draws.csv")], capture_output=True, text=True, env=env)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["0", "False", "1"]
+    assert done.stdout.split() == ["0", "False", "1", "False"]

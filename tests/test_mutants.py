@@ -11,9 +11,10 @@ import os
 import numpy as np
 import pytest
 
-from jdan import activations, marginal
+from jdan import activations, copula, marginal
 from jdan import autodiff as ad
 from jdan.cli import main
+from jdan.copula import CorrelationParams
 from jdan.data import load_csv
 from jdan.model_io import load_model, load_spec_from_doc
 from jdan.numerics import sigmoid as np_sigmoid
@@ -22,19 +23,38 @@ from jdan.training import grad_check
 from conftest import bracket_mismatches
 
 RUNS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "runs")
+BUNDLED = pytest.mark.parametrize("name, features", [("uniform_d2", []),
+                                                     ("conditional_d2", ["--features", "0.3"])])
 
 
-@pytest.mark.parametrize("name, features", [("uniform_d2", []),
-                                            ("conditional_d2", ["--features", "0.3"])])
+def _verify_full(name, features):
+    return main(["verify", "--model", os.path.join(RUNS, f"{name}_model.json"), "--level", "full"]
+                + features)
+
+
+@BUNDLED
 def test_unit_slope_in_psi_fails_the_fd_density_check(monkeypatch, capsys, name, features):
     # z' = 1 in the marginal's derivative chain: the closed-form density no longer
     # matches the finite-difference mixed partial of the CDF
-    argv = ["verify", "--model", os.path.join(RUNS, f"{name}_model.json"), "--level", "full"]
-    assert main(argv + features) == 0
+    assert _verify_full(name, features) == 0
     capsys.readouterr()
     monkeypatch.setattr(activations, "slope", lambda kind, x, z: 1.0)
-    assert main(argv + features) == 3
+    assert _verify_full(name, features) == 3
     assert "FAIL  density matches FD mixed partial" in capsys.readouterr().out
+
+
+@BUNDLED
+def test_flipped_dependence_fails_the_spearman_check(monkeypatch, capsys, name, features):
+    # the sampler inverts the conditional CDFs under negated correlations: every CDF and
+    # density check still holds, but each pair's draws carry rho -C/(3P) in place of C/(3P)
+    assert _verify_full(name, features) == 0
+    capsys.readouterr()
+    inverse = copula._conditional_inverse
+    monkeypatch.setattr(copula, "_conditional_inverse",
+                        lambda corr, v: inverse(CorrelationParams(raw=-corr.raw), v))
+    assert _verify_full(name, features) == 3
+    out = capsys.readouterr().out
+    assert "FAIL  draws' Spearman rho == C/(3P) per pair" in out and out.count("FAIL") == 1
 
 
 def test_doubled_sigmoid_backward_fails_grad_check(monkeypatch):
