@@ -37,6 +37,7 @@ import numpy as np
 
 from .errors import BracketError, ContractError, EvaluationError
 from .marginal import inverse_cdf, normalize, normalized_cdf
+from .numerics import row_blocks
 
 MAX_DIM = 12  # pairs grow quadratically; desk-scale cap
 
@@ -324,7 +325,10 @@ def sample(model: JdanModel, n, seed):
     With a sequence of seeds it is (len(seed), n, D): block r is drawn with
     seed[r] from parameter row r (or the shared set), exactly as a one-seed
     call for that row would draw it, from n * D uniforms of that seed's stream.
-    Each marginal inverts all its draws in one call.
+    The uniforms are drawn and inverted a block of rows at a time
+    (``numerics.row_blocks``) into the output, whose columns each marginal then
+    replaces with its quantiles in one call. So beside the output a call holds
+    one block and one column.
     """
     if n < 1:
         raise ContractError("need at least one sample")
@@ -336,12 +340,16 @@ def sample(model: JdanModel, n, seed):
         raise ContractError(f"{model.rows} parameter rows need {model.rows} seeds")
     rngs = [np.random.default_rng(s) for s in seeds]
     try:  # a MemoryError, or a ValueError when numpy refuses the shape outright
-        v = np.stack([rng.uniform(size=(n, model.dim)) for rng in rngs])
+        out = np.empty((len(seeds), n, model.dim))
     except (MemoryError, ValueError):
         raise ContractError(f"{len(seeds) * n} draws of dimension {model.dim} need "
                             f"{len(seeds) * n * model.dim * 8} bytes for their uniforms") from None
-    u = _conditional_inverse(model.correlations, v)
+    for rows in row_blocks(n, model.dim):  # a seed's blocks continue its one-call stream
+        block = out[:, rows]
+        block[...] = _conditional_inverse(
+            model.correlations, np.stack([rng.uniform(size=block.shape[1:]) for rng in rngs]))
     if single:
-        u = u[0]
-    return np.stack([inverse_cdf(m, u[..., d], b)
-                     for d, (m, b) in enumerate(zip(model.marginals, model.bounds))], axis=-1)
+        out = out[0]
+    for d, (m, b) in enumerate(zip(model.marginals, model.bounds)):
+        out[..., d] = inverse_cdf(m, out[..., d], b)
+    return out

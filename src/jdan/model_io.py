@@ -39,13 +39,28 @@ def _integer(value, what):
     return int(value)
 
 
+_JSON_TYPES = {dict: "an object", list: "an array", str: "a string", bool: "a boolean",
+               int: "a number", float: "a number", type(None): "null"}
+
+
+def _typed(value, kind, what):
+    """value, if it is a JSON object (kind dict) or array (kind list); else name the field."""
+    if not isinstance(value, kind):
+        raise ConfigError(f"model document {what} must be {_JSON_TYPES[kind]}, "
+                          f"got {_JSON_TYPES.get(type(value), type(value).__name__)}")
+    return value
+
+
 def _arch_from_doc(doc):
     a = doc.get("architecture")
     if a is None:
         raise ConfigError("model document lacks an architecture section")
+    a = _typed(a, dict, "architecture")
+    bounds = [_typed(b, dict, f"bounds[{k}]")
+              for k, b in enumerate(_typed(doc["bounds"], list, "bounds"))]
     return ArchitectureDescriptor(
         dim=_integer(doc["dim"], "dim"),
-        bounds=[(b["lower"], b["upper"]) for b in doc["bounds"]],
+        bounds=[(b["lower"], b["upper"]) for b in bounds],
         marginal_hidden=a["marginal_hidden"],
         activations=a["activations"],
         feature_dim=_integer(a.get("feature_dim", 0), "architecture.feature_dim"),
@@ -112,6 +127,7 @@ def doc_to_forecaster(doc) -> Forecaster:
         c = doc.get("conditioning")
         if c is None:
             raise ConfigError("conditional model document lacks a conditioning section")
+        c = _typed(c, dict, "conditioning")
         sizes = [_integer(s, "conditioning.layer_sizes entry") for s in c["layer_sizes"]]
         _agree("conditioning.layer_sizes", sizes,
                [arch.feature_dim, *arch.hypernet_hidden, arch.param_count()])
@@ -125,7 +141,7 @@ def doc_to_forecaster(doc) -> Forecaster:
         _require_finite("conditioning parameters", net.parameters())
         scaler = None
         if "feature_scaling" in doc:
-            s = doc["feature_scaling"]
+            s = _typed(doc["feature_scaling"], dict, "feature_scaling")
             scaler = ColumnScaler(shift=s["shift"], scale=s["scale"])
             _require_finite("feature scaling", [scaler.shift, scaler.scale])
         return Forecaster(net, arch, feature_scaler=scaler)
@@ -142,11 +158,14 @@ def _agree(what, stored, want):
 
 def _raw_from_doc(doc, arch):
     """The flat raw vector, each stored array read into its span of arch.partition()."""
-    _agree("marginal count", len(doc["marginals"]), arch.dim)
+    marginals = _typed(doc["marginals"], list, "marginals")
+    _agree("marginal count", len(marginals), arch.dim)
     spans, (c0, c1) = arch.partition()
-    sections = [("correlations", [doc["correlations"]["raw"]], [(c0, c1, (c1 - c0,))])]
-    for d, (m, (w_spans, b_spans)) in enumerate(zip(doc["marginals"], spans)):
+    correlations = _typed(doc["correlations"], dict, "correlations")
+    sections = [("correlations", [correlations["raw"]], [(c0, c1, (c1 - c0,))])]
+    for d, (m, (w_spans, b_spans)) in enumerate(zip(marginals, spans)):
         what = f"marginal {d + 1}"
+        m = _typed(m, dict, what)
         sizes = [_integer(s, "marginal layer_sizes entry") for s in m["layer_sizes"]]
         _agree(f"{what} layer_sizes", sizes, arch.marginal_layer_sizes(d))
         _agree(f"{what} activation", m.get("activation", arch.activations[d]), arch.activations[d])
@@ -154,7 +173,7 @@ def _raw_from_doc(doc, arch):
                      (f"{what} biases", m["biases"], [(a, b, (b - a,)) for a, b in b_spans])]
     raw = np.empty(arch.param_count())
     for what, arrays, spans in sections:
-        _agree(f"{what} array count", len(arrays), len(spans))
+        _agree(f"{what} array count", len(_typed(arrays, list, what)), len(spans))
         for k, (array, (a, b, shape)) in enumerate(zip(arrays, spans)):
             array = np.asarray(array, dtype=np.float64)
             _agree(f"{what}[{k}] shape", array.shape, shape)

@@ -14,19 +14,20 @@ def row_blocks(n, points_per_row=1):
 
 
 def sigmoid(x):
-    """Numerically stable logistic function, elementwise: exp(min(x, 0)) / (1 + exp(-|x|)).
+    """Numerically stable logistic function, elementwise: max(x >= 0, e) / (1 + e), e = exp(-|x|).
 
-    Neither exp overflows. From 0 up the numerator is exp(0) = 1 exactly, and
-    below 0 it is exp(x), bitwise exp(-|x|): the two-branch formula's bits,
-    with no select. It works in two fresh buffers laid out in memory like x,
-    since later sums run in memory order, and a 0-d input gives a 0-d array.
+    The one exp never overflows. From 0 up the numerator is 1 exactly, as
+    e <= 1 there, and below 0 it is e, bitwise exp(x): the two-branch
+    formula's bits, with no select. It works in two fresh buffers laid out in
+    memory like x, since later sums run in memory order, and a 0-d input
+    gives a 0-d array.
     """
     x = np.asarray(x, dtype=np.float64)
-    out = np.minimum(x, 0.0, out=np.empty_like(x))
-    np.exp(out, out=out)
     e = np.abs(x, out=np.empty_like(x))
     np.negative(e, out=e)
     np.exp(e, out=e)
+    out = np.greater_equal(x, 0.0, out=np.empty_like(x))  # 1.0 from 0 up, else 0.0
+    np.maximum(out, e, out=out)
     e += 1.0
     out /= e
     return out

@@ -868,6 +868,33 @@ def test_non_integral_model_document_counts_exit_2(name, field, edit, tmp_path, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name, edit, field", [
+    ("uniform_d2", lambda doc: doc.update(correlations=doc["correlations"]["raw"]),
+     "correlations"),
+    ("uniform_d2", lambda doc: doc["bounds"].__setitem__(0, [0.0, 1.0]), "bounds[0]"),
+    ("uniform_d2", lambda doc: doc["marginals"].__setitem__(0, 3), "marginal 1"),
+    ("uniform_d2", lambda doc: doc["marginals"][0].update(raw_weights=0.5),
+     "marginal 1 raw_weights"),
+    ("uniform_d2", lambda doc: doc.update(bounds={"lower": 0.0}), "bounds"),
+    ("uniform_d2", lambda doc: doc.update(architecture=[8]), "architecture"),
+    ("conditional_d2", lambda doc: doc.update(conditioning=[1]), "conditioning"),
+    ("conditional_d2", lambda doc: doc.update(feature_scaling=0.5), "feature_scaling"),
+], ids=["correlations_list", "bounds_entry_list", "marginal_number", "raw_weights_number",
+        "bounds_object", "architecture_list", "conditioning_list", "feature_scaling_number"])
+def test_wrongly_typed_document_fields_are_named(name, edit, field, tmp_path, capsys):
+    # the first four quoted Python's own error ("list indices must be integers or slices,
+    # not str") in place of the field
+    model = _edited_doc(os.path.join(RUNS, f"{name}_model.json"), tmp_path / "m.json", edit)
+    out = tmp_path / "s.csv"
+    features = ["--features", "0.2"] if name == "conditional_d2" else []
+    assert main(["sample", "--model", model, "-n", "5", "--seed", "0", *features,
+                 "--quiet", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: model document {field} must be an ")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_evaluate_feature_count_mismatch_exits_2(tmp_path, capsys):
     # lag windows add lagged columns, so the data carries more features than the net takes
     model = _edited_doc(os.path.join(RUNS, "conditional_d2_model.json"), tmp_path / "lag.json",
