@@ -160,9 +160,7 @@ def cmd_train(args):
             bounds = [tuple(b) for b in bounds_cfg]
         else:
             bounds = fit_bounds(ds.targets, margin=float(bounds_cfg.get("margin", 0.05)))
-        dim = ds.targets.shape[1]
-        feature_dim = ds.features.shape[1]
-        arch = _arch_from_config(cfg, dim, feature_dim, bounds)
+        arch = _arch_from_config(cfg, ds.targets.shape[1], ds.features.shape[1], bounds)
 
         t_cfg = dict(cfg.get("training", {}))
         _check_keys(t_cfg, "training")
@@ -170,14 +168,9 @@ def cmd_train(args):
     except (AttributeError, TypeError, ValueError) as exc:
         raise ConfigError(f"{args.config}: malformed config ({exc})") from exc
 
-    scaler = None
-    features = None
-    if feature_dim > 0:
-        scaler = ColumnScaler.fit(ds.features)
-        features = scaler.transform(ds.features)
-
+    scaler = ColumnScaler.fit(ds.features)  # (n, 0) without feature columns: no features
     net, report = train(
-        arch, ds.targets, features, config=tc,
+        arch, ds.targets, scaler.transform(ds.features), config=tc,
         log=None if args.quiet else (lambda line: print(line)),
     )
     fc = Forecaster(net, arch, feature_scaler=scaler)
@@ -199,14 +192,10 @@ def cmd_train(args):
 
 
 def _model(args):
-    """The shared parameter set of --model, at --features when the model is conditional."""
+    """The shared parameter set of --model at --features, which the model's check takes."""
     fc, _ = model_io.load_model(args.model)
-    if not fc.conditional:
-        if args.features is not None:
-            raise ConfigError("this model is unconditional; drop --features")
-        return fc.model_for()
     if args.features is None:
-        raise ConfigError("this model is conditional; pass --features v1,v2,...")
+        return fc.model_for()
     try:
         x = np.array([float(v) for v in args.features.split(",")], dtype=np.float64)
     except ValueError:
@@ -219,9 +208,8 @@ def cmd_evaluate(args):
     fc, doc = model_io.load_model(args.model)
     spec = model_io.load_spec_from_doc(doc)
     ds = load_csv(args.data, spec)
-    features = ds.features if fc.conditional else None
     report = evaluate_forecaster(
-        fc, ds.targets, features, m_samples=args.energy_samples, seed=_seed(args),
+        fc, ds.targets, ds.features, m_samples=args.energy_samples, seed=_seed(args),
         with_energy=not args.no_energy,
     )
     _emit(args, args.out, [report.to_json() + "\n"], f"report written to {args.out}")
@@ -284,8 +272,6 @@ def cmd_density(args):
 def cmd_sample(args):
     model = _model(args)
     seed = _seed(args, required=True)
-    if args.count < 1:
-        raise ConfigError("--count must be >= 1")
     draws = model_sample(model, args.count, seed)
     _emit(args, args.out, _csv([f"y{d+1}" for d in range(model.dim)], draws),
           f"{args.count} samples written to {args.out}")

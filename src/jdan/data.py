@@ -49,7 +49,9 @@ class ColumnScaler:
         return cls(shift=shift, scale=scale)
 
     def transform(self, x):
-        return (np.asarray(x, dtype=np.float64) - self.shift) / self.scale
+        """The map on x; a value it overflows becomes inf, which the feature check refuses."""
+        with np.errstate(over="ignore"):
+            return (np.asarray(x, dtype=np.float64) - self.shift) / self.scale
 
 
 @dataclass

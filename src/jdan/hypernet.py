@@ -213,34 +213,50 @@ def initialize_net(arch: ArchitectureDescriptor, seed) -> ConditioningNet:
     )
 
 
+def _features(net, x):
+    """x as the (F,) vector or (n, F) block net reads, or None for no features.
+
+    The one feature check on every path. None and a block with no column, (0,)
+    or (n, 0), mean no features: all an unconditional net takes, and what a
+    conditional net refuses. A scalar is one feature. Other blocks need two
+    axes at most, a row, net's feature count and finite values, else ContractError.
+    """
+    if x is not None:
+        x = np.atleast_1d(np.asarray(x, dtype=np.float64))
+        if x.ndim > 2 or (x.shape[-1] and not len(x)):
+            raise ContractError("features must be a vector or a block of at least one row")
+        x = x if x.shape[-1] else None
+    if not net.input_dim:
+        if x is not None:
+            raise ContractError(f"an unconditional forecaster takes no features, got {x.shape[-1]}")
+        return None
+    if x is None:
+        raise ContractError(f"a conditional forecaster needs features: {net.input_dim} per row")
+    if x.shape[-1] != net.input_dim:
+        raise ContractError(f"expected {net.input_dim} features, got {x.shape[-1]}")
+    if not np.all(np.isfinite(x)):
+        raise ContractError("features must be finite")
+    return x
+
+
 def nfn_forward(net: ConditioningNet, x):
     """Map features to the flat raw vector; (F,) -> (P,) or (n, F) -> (n, P).
 
-    An unconditional net takes x None, or (n, 0) for n copies of its raw
-    vector; features with a column raise ContractError. The net's parameters
-    may be tape nodes, and then so is the result. A non-finite result raises
-    EvaluationError.
+    An unconditional net maps no features (see ``_features``) to its one raw
+    vector (P,). The net's parameters may be tape nodes, and then so is the
+    result. A non-finite result raises EvaluationError, and features so large
+    that a layer overflows raise DomainError.
     """
+    x = _features(net, x)
     if x is None:
-        if net.input_dim:
-            raise ContractError(f"a conditional net needs features: {net.input_dim} per row")
-        x = np.zeros(0)
-    x = np.asarray(x, dtype=np.float64)
-    if net.input_dim == 0:
-        if x.ndim and x.shape[-1]:
-            raise ContractError(f"an unconditional net takes no features, got {x.shape[-1]}")
-        rows = x.shape[:1] if x.ndim == 2 else ()
-        a = net.raw + np.zeros(rows + net.raw.shape)  # a fresh array, or a tape node
+        a = net.raw + np.zeros(net.raw.shape)  # a fresh array, or a tape node
     else:
         a = np.atleast_2d(x)
-        if a.shape[1] != net.input_dim:
-            raise ContractError(f"expected {net.input_dim} features, got {a.shape[1]}")
-        if not np.all(np.isfinite(a)):
-            raise ContractError("features must be finite")
         last = len(net.weights) - 1
-        for k, (w, b) in enumerate(zip(net.weights, net.biases)):
-            pre = ad.affine(a, w, b)
-            a = pre if k == last else activations.apply(net.activation, pre)
+        with np.errstate(over="ignore", invalid="ignore"):  # activations.apply refuses the result
+            for k, (w, b) in enumerate(zip(net.weights, net.biases)):
+                pre = ad.affine(a, w, b)
+                a = pre if k == last else activations.apply(net.activation, pre)
         if x.ndim == 1:
             a = a.reshape(a.shape[1:])
     if not np.all(np.isfinite(ad.value(a))):
@@ -256,6 +272,12 @@ class Forecaster:
             raise ContractError(
                 f"net emits {net.output_dim} parameters; architecture needs {arch.param_count()}"
             )
+        if net.input_dim != arch.feature_dim:
+            raise ContractError(f"net takes {net.input_dim} features; "
+                                f"architecture has feature_dim {arch.feature_dim}")
+        if feature_scaler is not None and feature_scaler.shift.size != net.input_dim:
+            raise ContractError(f"feature_scaling has {feature_scaler.shift.size} columns "
+                                f"for {net.input_dim} features")
         self.net = net
         self.arch = arch
         self.feature_scaler = feature_scaler
@@ -269,21 +291,12 @@ class Forecaster:
         """The model for one feature vector (F,), or a per-row model for a block (n, F).
 
         Row i of a block gets the bits of a one-row call for x[i]. An
-        unconditional forecaster returns its one shared model for None or for
-        features with no column, and refuses any feature.
+        unconditional forecaster returns its one shared model for no features
+        (see ``_features``), and refuses any feature.
         """
-        if not self.conditional:
-            width = np.shape(np.atleast_1d(x))[-1] if x is not None else 0
-            if width:
-                raise ContractError(f"an unconditional forecaster takes no features, got {width}")
-            return self._fixed
+        x = _features(self.net, x)  # before the scaler, which would broadcast a wrong width
         if x is None:
-            raise ContractError("a conditional model needs a feature vector")
-        x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-        if x.ndim > 2 or not len(x):
-            raise ContractError("features must be a vector or a block of at least one row")
-        if x.shape[-1] != self.net.input_dim:  # checked before the scaler can broadcast
-            raise ContractError(f"expected {self.net.input_dim} features, got {x.shape[-1]}")
+            return self._fixed
         if self.feature_scaler is not None:
             x = self.feature_scaler.transform(x)
         blocks = [x] if x.ndim == 1 else [x[rows] for rows in row_blocks(len(x))]

@@ -220,8 +220,6 @@ def train(arch: ArchitectureDescriptor, targets, features=None, config=None, log
         features = np.asarray(features, dtype=np.float64)
         if features.shape[0] != n:
             raise ContractError("features and targets disagree on n")
-    if arch.feature_dim > 0 and features is None:
-        raise ContractError("a conditional architecture needs features")
     if n < 10 * cfg.batch_size:
         warnings.warn(
             f"only {n} samples for batch_size={cfg.batch_size}; "

@@ -906,6 +906,63 @@ def test_evaluate_feature_count_mismatch_exits_2(tmp_path, capsys):
     assert not (tmp_path / "r.json").exists()
 
 
+def test_evaluate_refuses_features_for_an_unconditional_model(tmp_path, capsys):
+    # the two lag columns and the first row were dropped unread
+    model = _edited_doc(os.path.join(RUNS, "uniform_d2_model.json"), tmp_path / "lag.json",
+                        lambda doc: doc["data_spec"].update(lag_windows=[1]))
+    assert main(["evaluate", "--model", model, "--data",
+                 os.path.join(ROOT, "data", "uniform_d2.csv"), "--no-energy", "--quiet",
+                 "--out", str(tmp_path / "r.json")]) == 2
+    assert capsys.readouterr().err == "error: an unconditional forecaster takes no features, got 2\n"
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_feature_scaling_of_the_wrong_width_exits_2(tmp_path, capsys):
+    # one shift and scale were broadcast over both features of a two-feature net
+    def widen(doc):
+        c = doc["conditioning"]
+        c["input_dim"] = c["layer_sizes"][0] = doc["architecture"]["feature_dim"] = 2
+        c["weights"][0] = [row * 2 for row in c["weights"][0]]
+
+    model = _edited_doc(os.path.join(RUNS, "conditional_d2_model.json"), tmp_path / "m.json",
+                        widen)
+    out = tmp_path / "s.csv"
+    assert main(["sample", "--model", model, "-n", "5", "--seed", "0", "--features", "0.1,0.2",
+                 "--quiet", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: feature_scaling has 1 columns for 2 features\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_sample_count_below_one_exits_2(count, tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    assert main(["sample", "--model", os.path.join(RUNS, "uniform_d2_model.json"), "-n", count,
+                 "--seed", "0", "--quiet", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: need at least one sample\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name, features, message", [
+    ("uniform_d2", "0.2", "an unconditional forecaster takes no features, got 1"),
+    ("uniform_d2", "nan", "an unconditional forecaster takes no features, got 1"),
+    ("conditional_d2", None, "a conditional forecaster needs features: 1 per row"),
+    ("conditional_d2", "0.1,0.2", "expected 1 features, got 2"),
+    ("conditional_d2", "nan", "features must be finite"),
+    ("conditional_d2", "inf", "features must be finite"),
+], ids=["uncond_column", "uncond_nan", "cond_none", "cond_width", "cond_nan", "cond_inf"])
+@pytest.mark.parametrize("command", ["sample", "density", "verify"])
+def test_bad_features_exit_2_with_the_one_message(command, name, features, message, tmp_path,
+                                                   capsys):
+    out = tmp_path / "out.csv"
+    argv = [command, "--model", os.path.join(RUNS, f"{name}_model.json"), "--quiet"]
+    argv += {"sample": ["-n", "5", "--seed", "0", "--out", str(out)],
+             "density": ["--out", str(out)], "verify": []}[command]
+    argv += [] if features is None else ["--features", features]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_unallocatable_energy_samples_exit_2(tmp_path, capsys):
     with open(os.path.join(ROOT, "data", "uniform_d2.csv"), encoding="utf-8") as fh:
         rows = tmp_path / "rows.csv"
@@ -1114,7 +1171,7 @@ def test_features_for_an_unconditional_model_exit_2(command, tmp_path, capsys):
     out = tmp_path / "out.csv"
     assert main([command[0], "--model", os.path.join(RUNS, "uniform_d2_model.json"),
                  *command[1:], "--features", "0.2", "--out", str(out)]) == 2
-    assert capsys.readouterr().err == "error: this model is unconditional; drop --features\n"
+    assert capsys.readouterr().err == "error: an unconditional forecaster takes no features, got 1\n"
     assert not out.exists()
 
 

@@ -19,7 +19,7 @@ from jdan.errors import (
     EmptyDatasetError,
     MissingColumnError,
 )
-from jdan.hypernet import Forecaster, initialize_net
+from jdan.hypernet import Forecaster, initialize_net, nfn_forward
 from jdan.metrics import (
     MetricsReport,
     crps_marginal,
@@ -29,7 +29,7 @@ from jdan.metrics import (
     pit_ks,
     pit_values,
 )
-from jdan.training import nll_loss
+from jdan.training import TrainConfig, flat_parameters, nll_grad, nll_loss, train
 
 from conftest import unit_arch
 
@@ -290,6 +290,63 @@ def test_unconditional_metrics_refuse_stray_features(metric):
             metric(fc, y, x)
     want = metric(fc, y, None)
     assert metric(fc, y, np.empty((50, 0))) == want
+
+
+_BAD_FEATURES = {  # (conditional, block for 50 rows) -> the one check's message
+    "uncond_column": (False, np.zeros((50, 1)), "takes no features, got 1"),
+    "uncond_nan_column": (False, np.full((50, 1), np.nan), "takes no features, got 1"),
+    "cond_none": (True, None, "needs features: 2 per row"),
+    "cond_width": (True, np.zeros((50, 3)), "expected 2 features, got 3"),
+    "cond_no_rows": (True, np.zeros((0, 2)), "at least one row"),
+    "cond_3d": (True, np.zeros((50, 1, 2)), "at least one row"),
+    "cond_nan": (True, np.full((50, 2), np.nan), "features must be finite"),
+    "cond_inf": (True, np.full((50, 2), np.inf), "features must be finite"),
+}
+
+
+def _train(fc, y, x):
+    return flat_parameters(train(fc.arch, y, x, TrainConfig(max_epochs=1, batch_size=10))[0])
+
+
+@pytest.mark.filterwarnings("ignore:only .* samples:UserWarning")
+@pytest.mark.parametrize("entry", [
+    lambda fc, y, x: nfn_forward(fc.net, x),
+    lambda fc, y, x: fc.model_for(x),
+    lambda fc, y, x: nll_loss(fc.net, fc.arch, y, x),
+    lambda fc, y, x: nll_grad(fc.net, fc.arch, y, x),
+    _train,
+    lambda fc, y, x: log_score(fc, y, x),
+    lambda fc, y, x: crps_marginal(fc, y, 0, x),
+    lambda fc, y, x: pit_values(fc, y, x),
+    lambda fc, y, x: pit_ks(fc, y, 0, x),
+    lambda fc, y, x: energy_score(fc, y, x, m_samples=4),
+    lambda fc, y, x: evaluate_forecaster(fc, y, x, m_samples=4),
+], ids=["nfn_forward", "model_for", "nll_loss", "nll_grad", "train", "log_score", "crps",
+        "pit_values", "pit_ks", "energy", "evaluate"])
+@pytest.mark.parametrize("case", list(_BAD_FEATURES))
+def test_every_entry_refuses_bad_features_with_the_one_message(entry, case):
+    conditional, x, message = _BAD_FEATURES[case]
+    fc = random_forecaster(feature_dim=2) if conditional else uniform_forecaster()
+    y = np.random.default_rng(8).uniform(0.1, 0.9, (50, 2))
+    if entry is _train and case == "cond_no_rows":  # train first checks that the rows agree
+        message = "features and targets disagree on n"
+    with pytest.raises(ContractError, match=message):
+        entry(fc, y, x)
+
+
+@pytest.mark.filterwarnings("ignore:only .* samples:UserWarning")
+def test_no_feature_column_is_no_features_bit_for_bit():
+    # (n, 0) went through n per-row copies of the raw vector, slower and not the same bits
+    fc, y = random_forecaster(seed=3), np.random.default_rng(9).uniform(0.1, 0.9, (60, 2))
+    empty = np.empty((60, 0))
+    assert nll_loss(fc.net, fc.arch, y, empty) == nll_loss(fc.net, fc.arch, y, None)
+    (a, ga), (b, gb) = (nll_grad(fc.net, fc.arch, y, x) for x in (empty, None))
+    assert a == b
+    np.testing.assert_array_equal(ga, gb)
+    cfg = TrainConfig(max_epochs=3, batch_size=8)
+    (na, ra), (nb, rb) = (train(fc.arch, y, x, cfg) for x in (empty, None))
+    np.testing.assert_array_equal(flat_parameters(na), flat_parameters(nb))
+    assert ra.val_nll == rb.val_nll
 
 
 def test_pit_values_uniform_model_identity():

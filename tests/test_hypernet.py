@@ -4,6 +4,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jdan.copula import n_pairs
 from jdan.errors import ConfigError, ContractError, EvaluationError
@@ -186,9 +188,8 @@ def test_nfn_forward_unconditional_ignores_features():
     arch = unit_arch(dim=2)
     net = initialize_net(arch, seed=3)
     np.testing.assert_array_equal(nfn_forward(net, None), net.raw)
-    batch = nfn_forward(net, np.zeros((5, 0)))
-    assert batch.shape == (5, net.raw.size)
-    np.testing.assert_array_equal(batch[2], net.raw)
+    for x in (np.zeros(0), np.zeros((5, 0)), np.zeros((0, 0))):  # no column: no features
+        np.testing.assert_array_equal(nfn_forward(net, x), net.raw)
 
 
 def test_nfn_forward_batch_matches_single():
@@ -270,6 +271,56 @@ def test_forecaster_rejects_output_size_mismatch():
     net = initialize_net(other, seed=0)
     with pytest.raises(ContractError):
         Forecaster(net, arch)
+
+
+def test_forecaster_refuses_feature_counts_that_disagree():
+    # a feature_dim-1 net under a feature_dim-0 architecture saved a document that did not load,
+    # and a one-column scaler broadcast over a two-feature net
+    from jdan.data import ColumnScaler
+
+    with pytest.raises(ContractError, match="net takes 1 features; architecture has feature_dim 0"):
+        Forecaster(initialize_net(unit_arch(dim=2, feature_dim=1), seed=0), unit_arch(dim=2))
+    arch = unit_arch(dim=2, feature_dim=2)
+    one = ColumnScaler(shift=np.array([0.0]), scale=np.array([1.0]))
+    with pytest.raises(ContractError, match="feature_scaling has 1 columns for 2 features"):
+        Forecaster(initialize_net(arch, seed=0), arch, feature_scaler=one)
+
+
+_FLOATS = st.one_of(st.sampled_from([np.nan, np.inf, -np.inf, 1e308, -1e308, 0.0]),
+                    st.floats(-10.0, 10.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(shape=st.lists(st.integers(0, 4), max_size=3).map(tuple).filter(
+           lambda sh: not sh or sh[-1] <= 3),
+       data=st.data())
+def test_fuzzed_feature_blocks_give_a_model_or_a_contract_error(shape, data):
+    from jdan.data import ColumnScaler
+    from jdan.errors import DomainError
+
+    x = np.array(data.draw(st.lists(_FLOATS, min_size=int(np.prod(shape)),
+                                    max_size=int(np.prod(shape)))),
+                 dtype=np.float64).reshape(shape)
+    arch, P = unit_arch(dim=2, feature_dim=2, hyper=(8,)), unit_arch(dim=2).param_count()
+    scaler = ColumnScaler(shift=np.array([0.5, -1.0]), scale=np.array([2.0, 0.5]))
+    for fc in (Forecaster(initialize_net(arch, seed=0), arch, feature_scaler=scaler),
+               Forecaster(initialize_net(unit_arch(dim=2), seed=0), unit_arch(dim=2))):
+        width = shape[-1] if shape else 1
+        no_features = width == 0 and len(shape) <= 2
+        fits = (fc.conditional and len(shape) <= 2 and width == 2 and (len(shape) < 2 or shape[0])
+                and np.all(np.isfinite(x)))
+        for call in (lambda v: flatten(fc.model_for(v)), lambda v: nfn_forward(fc.net, v)):
+            try:
+                out = call(x)
+            except ContractError:
+                assert not fits or np.abs(x).max() > 1e300  # the scaler overflows to inf
+                continue
+            except DomainError:  # a first layer that overflows, as a model's weights can make it
+                assert fits and np.abs(x).max() > 1e300
+                continue
+            assert fits or (no_features and not fc.conditional)
+            assert out.shape == (shape[:1] if fits and len(shape) == 2 else ()) + (P,)
+            assert np.all(np.isfinite(out))
 
 
 def test_forecaster_applies_feature_scaler():
