@@ -6,16 +6,18 @@ makes positive-weighted networks monotone. Only "exp" has nonnegative
 derivatives of every order; it is offered for completeness but kept out
 of default training setups because it explodes or vanishes easily.
 
-``apply`` takes ndarrays or tape nodes alike (see ``autodiff``), since the
-conditioning net in ``hypernet`` runs on the tape in training. ``slope`` and
-``curvature`` take plain arrays: the marginal nets in ``marginal`` and the
-diagnostics in ``miso`` use them off the tape.
+``apply`` takes ndarrays or tape nodes alike: on a node (``hypernet``'s
+conditioning net runs on the tape in training) it gives one node whose
+backward is g times ``slope``. ``slope`` and ``curvature`` take plain arrays
+(``marginal``, ``copula``'s adjoint, ``miso``). This table is the only code
+that writes an activation's value, slope or curvature.
 """
 
 import numpy as np
 
 from . import autodiff as ad
 from .errors import ContractError, DomainError
+from .numerics import sigmoid
 
 KINDS = ("sigmoid", "tanh", "linear", "relu", "exp")
 
@@ -23,22 +25,24 @@ KINDS = ("sigmoid", "tanh", "linear", "relu", "exp")
 # reuse the value where they can. ReLU uses the subgradient 0 at x = 0, which
 # keeps z' deterministic and >= 0.
 _TABLE = {
-    "sigmoid": (ad.sigmoid, lambda x, z: z * (1.0 - z),
+    "sigmoid": (sigmoid, lambda x, z: z * (1.0 - z),
                 lambda x, z: z * (1.0 - z) * (1.0 - 2.0 * z)),
-    "tanh": (ad.tanh, lambda x, z: 1.0 - z * z, lambda x, z: -2.0 * z * (1.0 - z * z)),
+    "tanh": (np.tanh, lambda x, z: 1.0 - z * z, lambda x, z: -2.0 * z * (1.0 - z * z)),
     "linear": (lambda x: x, lambda x, z: 1.0, lambda x, z: 0.0),
-    "relu": (ad.relu, lambda x, z: (np.asarray(x) > 0).astype(np.float64), lambda x, z: 0.0),
-    "exp": (ad.exp, lambda x, z: z, lambda x, z: z),
+    "relu": (lambda x: np.maximum(x, 0.0), lambda x, z: np.heaviside(x, 0.0), lambda x, z: 0.0),
+    "exp": (np.exp, lambda x, z: z, lambda x, z: z),
 }
 
 
 def apply(kind, x):
-    """z(x) for an ndarray or a tape node; DomainError on non-finite input."""
+    """z(x) for an ndarray, or a tape node with backward g z'(x); DomainError on non-finite x."""
     if kind not in KINDS:
         raise ContractError(f"unknown activation kind {kind!r}; expected one of {KINDS}")
-    if not np.isfinite(ad.value(x)).all():
+    xv = ad.value(x)
+    if not np.isfinite(xv).all():
         raise DomainError(f"non-finite input to activation {kind!r}")
-    return _TABLE[kind][0](x)
+    z = _TABLE[kind][0](xv)
+    return ad.custom(x, z, lambda g: g * slope(kind, xv, z))
 
 
 def slope(kind, x, z):

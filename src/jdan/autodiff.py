@@ -3,7 +3,8 @@
 Every op is array-generic: given only plain arrays (or numbers) it returns a
 plain ndarray and records nothing; given at least one ``Tensor`` it returns a
 ``Tensor`` wired into the graph. So the conditioning net, ``nfn_forward``,
-serves both evaluation and training. The tape ends there: training's batch
+serves both evaluation and training; its activations are ``custom`` nodes
+from ``activations.apply``. The tape ends there: training's batch
 density is one ``custom`` node with a hand-written backward (see
 ``training``), and the marginal nets, the combiner and ``materialize`` take
 plain arrays only. Build the graph by passing leaves created with
@@ -16,8 +17,6 @@ plain-array arguments are constants and are not kept on the tape.
 """
 
 import numpy as np
-
-from .numerics import sigmoid as _sigmoid_np
 
 
 class Tensor:
@@ -114,7 +113,11 @@ def affine(a, w, b=None):
 
     Plain arguments go through ``ordered_affine``, so each output depends
     only on its point and its row's parameters, never on the other points or
-    rows in the call as a BLAS product's does. Tape nodes take the matmul.
+    rows in the call as a BLAS product's does. Tape nodes take the matmul, so
+    a training loss can differ from the plain one in its last bits: through
+    ``ordered_affine`` the tape's forward made ``nll_grad`` on a [32, 32]
+    conditioning net 1.3-1.7x slower (1.00-1.55 ms became 1.60-2.23 ms at 128
+    rows, 1.53-2.06 ms became 2.56-2.74 ms at 256, on a 2-vCPU machine).
     """
     if not any(isinstance(x, Tensor) for x in (a, w, b)):
         # one plane per input unit, the longer points axis last: the rows, when a block
@@ -179,26 +182,6 @@ def mean(a):
 def log(a):
     av = value(a)
     return _node(np.log(av), (a, lambda g: g / av))
-
-
-def exp(a):
-    out = np.exp(value(a))
-    return _node(out, (a, lambda g: g * out))
-
-
-def tanh(a):
-    out = np.tanh(value(a))
-    return _node(out, (a, lambda g: g * (1.0 - out * out)))
-
-
-def sigmoid(a):
-    out = _sigmoid_np(value(a))
-    return _node(out, (a, lambda g: g * out * (1.0 - out)))
-
-
-def relu(a):
-    av = value(a)
-    return _node(np.maximum(av, 0.0), (a, lambda g: g * (av > 0)))
 
 
 def backward(root: Tensor):

@@ -32,6 +32,7 @@ from .training import TrainConfig, train
 _CONFIG_KEYS = {
     "top-level": {"seed", "data", "bounds", "architecture", "training", "out", "history_out"},
     "data": {"path"} | {f.name for f in dataclasses.fields(LoadSpec)},
+    "bounds": {"margin"},
     "architecture": {"marginal_hidden", "activations", "hypernet_hidden"},
     "training": {f.name for f in dataclasses.fields(TrainConfig)} - {"seed"},
 }
@@ -104,6 +105,8 @@ def _load_config(args):
 
 
 def _check_keys(section, name):
+    if not isinstance(section, dict):
+        raise ConfigError(f"the {name} config section must be a JSON object, got {section!r}")
     unknown = set(section) - _CONFIG_KEYS[name]
     if unknown:
         raise ConfigError(f"unknown {name} config key(s): {', '.join(sorted(unknown))}")
@@ -146,23 +149,26 @@ def cmd_train(args):
     try:  # a wrongly typed config field surfaces as one of these
         _check_keys(cfg, "top-level")
         seed = _seed(args, cfg, required=True)
-        data_cfg = cfg.get("data")
-        if not data_cfg or "path" not in data_cfg:
-            raise ConfigError("config needs a data section with a path")
+        data_cfg = cfg.get("data", {})
         _check_keys(data_cfg, "data")
+        if "path" not in data_cfg:
+            raise ConfigError("config needs a data section with a path")
         spec = LoadSpec(**{k: v for k, v in data_cfg.items() if k != "path"})
         ds = load_csv(_resolve(data_cfg["path"], base), spec)
         if ds.n_dropped:
             _say(args, f"dropped {ds.n_dropped} rows with missing values")
 
-        bounds_cfg = cfg.get("bounds", {"margin": 0.05})
+        bounds_cfg = cfg.get("bounds", {})
         if isinstance(bounds_cfg, list):
+            if not all(isinstance(b, list) and len(b) == 2 for b in bounds_cfg):
+                raise ConfigError(f"bounds must be [lower, upper] pairs, got {bounds_cfg!r}")
             bounds = [tuple(b) for b in bounds_cfg]
         else:
+            _check_keys(bounds_cfg, "bounds")
             bounds = fit_bounds(ds.targets, margin=float(bounds_cfg.get("margin", 0.05)))
         arch = _arch_from_config(cfg, ds.targets.shape[1], ds.features.shape[1], bounds)
 
-        t_cfg = dict(cfg.get("training", {}))
+        t_cfg = cfg.get("training", {})
         _check_keys(t_cfg, "training")
         tc = TrainConfig(seed=seed, **t_cfg)
     except (AttributeError, TypeError, ValueError) as exc:

@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import activations
 from .errors import BracketError, ContractError, EvaluationError
 from .marginal import inverse_cdf, normalize, normalized_cdf
 from .numerics import row_blocks
@@ -202,11 +203,6 @@ def combine(corr: CorrelationParams, cdfs, pdfs):
     return dens
 
 
-def _tanh_slope(c):
-    """d tanh(raw) / d raw, from c = tanh(raw)."""
-    return 1.0 - c * c
-
-
 def combine_adjoint(corr: CorrelationParams, cdfs, pdfs, g):
     """Gradients of the raw correlations, the D CDF values and the D densities.
 
@@ -231,7 +227,8 @@ def combine_adjoint(corr: CorrelationParams, cdfs, pdfs, g):
     for k, (d, i) in enumerate(pairs):
         g_v[d] = g_v[d] + c[..., k] * v[i]
         g_v[i] = g_v[i] + c[..., k] * v[d]
-    g_raw = np.stack([g_mean * v[d] * v[i] for d, i in pairs], axis=-1) * _tanh_slope(c)
+    g_raw = np.stack([g_mean * v[d] * v[i] for d, i in pairs], axis=-1)
+    g_raw = g_raw * activations.slope("tanh", corr.raw, c)
     return (g_raw if corr.rows is not None else g_raw.sum(axis=0),
             [-2.0 * g_mean * gv for gv in g_v], g_pdfs)
 

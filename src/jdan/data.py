@@ -61,6 +61,9 @@ class LoadSpec:
     lag_windows: list = field(default_factory=list)
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if not isinstance(value, list):
+                raise ConfigError(f"{name} must be a list, got {value!r}")
         if not self.target_columns:
             raise ContractError("at least one target column is required")
         names = list(self.feature_columns) + list(self.target_columns)

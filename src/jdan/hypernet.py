@@ -58,10 +58,14 @@ class ArchitectureDescriptor:
             self.hypernet_hidden = list(DEFAULT_HYPERNET_HIDDEN)
         if len(self.marginal_hidden) != self.dim or len(self.activations) != self.dim:
             raise ContractError("need hidden sizes and an activation per marginal")
-        for widths in [self.hypernet_hidden, *self.marginal_hidden]:
-            if not all(isinstance(w, numbers.Integral) and not isinstance(w, bool) and w >= 1
-                       for w in widths):
-                raise ContractError(f"hidden widths must be positive integers, got {widths!r}")
+        for name, nets in (("hypernet_hidden", [self.hypernet_hidden]),
+                           ("marginal_hidden", self.marginal_hidden)):
+            for widths in nets:
+                if not isinstance(widths, (list, tuple)) or not all(
+                        isinstance(w, numbers.Integral) and not isinstance(w, bool) and w >= 1
+                        for w in widths):
+                    raise ContractError(
+                        f"{name} widths must be lists of positive integers, got {widths!r}")
         if not all(self.marginal_hidden):
             raise ContractError("every marginal needs a hidden layer")
         for a in self.activations:

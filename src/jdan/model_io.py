@@ -238,6 +238,8 @@ def load_spec_from_doc(doc) -> LoadSpec:
     ds = doc.get("data_spec")
     if ds is None:
         raise ConfigError("model document carries no data_spec; pass columns explicitly")
+    if not isinstance(ds, dict):
+        raise ConfigError(f"data_spec must be a JSON object, got {ds!r}")
     return LoadSpec(
         feature_columns=ds.get("feature_columns", []),
         target_columns=ds.get("target_columns", []),

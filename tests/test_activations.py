@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jdan import autodiff as ad
 from jdan.activations import KINDS, apply, curvature, slope
 from jdan.errors import ContractError, DomainError
 from jdan.numerics import sigmoid
@@ -100,6 +101,23 @@ def test_scalar_in_scalar_out(x, kind):
         v = fn(kind, x)
         assert np.ndim(v) == 0
         assert np.isfinite(v)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_tape_node_takes_the_value_and_the_slope_of_the_table(kind):
+    # one node per activation: its value is the plain call's and its backward is
+    # g * slope, bit for bit, so the tape writes no slope of its own
+    rng = np.random.default_rng(7)
+    x, g = rng.normal(scale=3.0, size=(40, 5)), rng.normal(size=(40, 5))
+    x[0, :2] = 0.0, -0.0
+    t = ad.leaf(x.copy())
+    node = apply(kind, t)
+    z = apply(kind, x)
+    assert isinstance(node, ad.Tensor) and node.parents == (t,)
+    np.testing.assert_array_equal(node.data.view(np.uint64), np.asarray(z).view(np.uint64))
+    ad.backward(ad.custom(node, np.asarray(np.sum(z * g)), lambda up: up * g))
+    want = g * slope(kind, x, z)
+    np.testing.assert_array_equal(t.grad.view(np.uint64), want.view(np.uint64))
 
 
 def test_unknown_kind_and_nonfinite_input():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from jdan import autodiff as ad
+from jdan.activations import KINDS, apply
 from jdan.numerics import sigmoid as np_sigmoid
 
 
@@ -147,24 +148,25 @@ def test_ops_on_plain_arrays_build_no_graph():
     outs = [
         ad.add(x, x), ad.mul(x, x),
         ad.affine(x, w, np.ones(2)), ad.affine(x, w), ad.reshape(x, (4,)),
-        sumall(x), ad.mean(x), ad.log(x), ad.exp(x),
-        ad.tanh(x), ad.sigmoid(x), ad.relu(x),
+        sumall(x), ad.mean(x), ad.log(x), *(apply(kind, x) for kind in KINDS),
     ]
     for out in outs:
         assert isinstance(out, np.ndarray) and not isinstance(out, ad.Tensor)
 
 
 @pytest.mark.parametrize(
-    "op,ref",
+    "kind,ref",
     [
-        (ad.log, np.log),
-        (ad.exp, np.exp),
-        (ad.tanh, np.tanh),
-        (ad.sigmoid, np_sigmoid),
-        (ad.relu, lambda x: np.maximum(x, 0.0)),
+        ("log", np.log),
+        ("exp", np.exp),
+        ("tanh", np.tanh),
+        ("sigmoid", np_sigmoid),
+        ("relu", lambda x: np.maximum(x, 0.0)),
     ],
 )
-def test_elementwise_values_and_grads(op, ref):
+def test_elementwise_values_and_grads(kind, ref):
+    # log is a tape op; the activations are nodes that activations.apply builds
+    op = ad.log if kind == "log" else (lambda t: apply(kind, t))
     rng = np.random.default_rng(5)
     x = rng.uniform(0.5, 2.0, size=(3, 3))  # positive keeps log in-domain
     t = ad.leaf(x.copy())
@@ -182,7 +184,7 @@ def test_elementwise_values_and_grads(op, ref):
 def test_sigmoid_grad_uses_value_identity():
     x = np.array([-30.0, 0.0, 30.0])
     t = ad.leaf(x)
-    ad.backward(sumall(ad.sigmoid(t)))
+    ad.backward(sumall(apply("sigmoid", t)))
     a = np_sigmoid(x)
     np.testing.assert_allclose(t.grad, a * (1 - a), atol=1e-15)
     assert np.all(np.isfinite(t.grad))
@@ -209,7 +211,7 @@ def test_grad_linearity_in_root_scale():
 
     def run(scale):
         t = ad.leaf(x.copy())
-        ad.backward(ad.mul(sumall(ad.tanh(t)), ad.leaf(np.array(scale))))
+        ad.backward(ad.mul(sumall(apply("tanh", t)), ad.leaf(np.array(scale))))
         return t.grad.copy()
 
     np.testing.assert_allclose(run(3.0), 3.0 * run(1.0), rtol=1e-14)
@@ -245,7 +247,7 @@ def test_second_order_structure_through_derivative_chain():
     # values (sigmoid' = a(1-a)) must itself be differentiable
     x0 = 0.7
     t = ad.leaf(np.array(x0))
-    a = ad.sigmoid(t)
+    a = apply("sigmoid", t)
     d1 = ad.mul(a, ad.add(1.0, -a))  # sigmoid'(x) via value
     ad.backward(sumall(d1))
     # d/dx sigmoid'(x) = sigmoid''(x) = a(1-a)(1-2a)

@@ -237,7 +237,7 @@ def test_sample_deterministic_bytes(trained, tmp_path):
 # --features 0.2: a kernel change that moves one draw fails here
 SAMPLE_SHA256 = {
     "uniform_d2": "590c49fb80df2436c422f0a2ffe54591ab00cfd7ce752e1d9ebae22343f2f068",
-    "conditional_d2": "104d8150cf5588d5c3b094595decc985b451dd05575620e3aab32eb73b9fa677",
+    "conditional_d2": "8c4187e5488eef62d28416639dd2f243eab9cb74c429ebb4773c0eb73ec88601",
 }
 
 
@@ -602,13 +602,15 @@ def test_malformed_input_exits_2(case, trained, tmp_path, capsys):
 @pytest.mark.parametrize("section, key", [
     (None, "sead"),
     ("data", "target_column"),
+    ("bounds", "margn"),
     ("architecture", "marginal_hiden"),
     ("training", "momentum"),
 ])
 def test_misspelled_config_keys_exit_2(section, key, trained, tmp_path, capsys):
     cfg = {"seed": 0, "out": "m.json",
            "data": {"path": str(trained["data"]), "target_columns": ["y1", "y2"]},
-           "architecture": {"activations": "tanh"}, "training": {"max_epochs": 1}}
+           "bounds": {"margin": 0.05}, "architecture": {"activations": "tanh"},
+           "training": {"max_epochs": 1}}
     (cfg if section is None else cfg[section])[key] = 1
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
@@ -616,6 +618,51 @@ def test_misspelled_config_keys_exit_2(section, key, trained, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and key in err
     assert not (tmp_path / "m.json").exists()
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda c: c.update(training=[1]),
+     "the training config section must be a JSON object, got [1]"),
+    (lambda c: c.update(architecture=["x"]),
+     "the architecture config section must be a JSON object, got ['x']"),
+    (lambda c: c.update(data=["path"]), "the data config section must be a JSON object"),
+    (lambda c: c.update(architecture={"marginal_hidden": [[8], 8]}),
+     "marginal_hidden widths must be lists of positive integers, got 8"),
+    (lambda c: c.update(bounds=[[0, 1], [0]]),
+     "bounds must be [lower, upper] pairs, got [[0, 1], [0]]"),
+    (lambda c: c["data"].update(target_columns="y1"), "target_columns must be a list, got 'y1'"),
+], ids=["training", "architecture", "data", "marginal_hidden", "bounds", "target_columns"])
+def test_config_errors_name_the_field(edit, message, trained, tmp_path, capsys):
+    # a section or field of the wrong type is named, not reported in Python's words
+    cfg = {"seed": 0, "out": "m.json", "training": {"max_epochs": 1},
+           "data": {"path": str(trained["data"]), "target_columns": ["y1", "y2"]}}
+    edit(cfg)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["train", "--config", str(path), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "m.json").exists()
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: d["data_spec"].update(feature_columns="x1"),
+     "feature_columns must be a list, got 'x1'"),
+    (lambda d: d["data_spec"].update(target_columns="y1"),
+     "target_columns must be a list, got 'y1'"),
+    (lambda d: d.update(data_spec="x"), "data_spec must be a JSON object, got 'x'"),
+], ids=["feature_columns", "target_columns", "data_spec"])
+def test_model_document_column_spec_errors_name_the_field(edit, message, tmp_path, capsys):
+    # a string is refused, not split into one-letter column names
+    doc = json.loads(open(os.path.join(RUNS, "conditional_d2_model.json")).read())
+    edit(doc)
+    path, out = tmp_path / "model.json", tmp_path / "report.json"
+    path.write_text(json.dumps(doc))
+    assert main(["evaluate", "--model", str(path), "--data",
+                 os.path.join(ROOT, "data", "conditional_d2.csv"), "--no-energy",
+                 "--out", str(out), "--quiet"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, seed", [

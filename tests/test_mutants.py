@@ -12,12 +12,10 @@ import numpy as np
 import pytest
 
 from jdan import activations, copula, marginal
-from jdan import autodiff as ad
 from jdan.cli import main
 from jdan.copula import CorrelationParams
 from jdan.data import load_csv
 from jdan.model_io import load_model, load_spec_from_doc
-from jdan.numerics import sigmoid as np_sigmoid
 from jdan.training import grad_check
 
 from conftest import bracket_mismatches
@@ -58,20 +56,17 @@ def test_flipped_dependence_fails_the_spearman_check(monkeypatch, capsys, name, 
 
 
 def test_doubled_sigmoid_backward_fails_grad_check(monkeypatch):
-    # the tape's sigmoid with twice its gradient; only the conditioning net runs on the
-    # tape, so the model must be conditional
+    # the table's sigmoid slope doubled: the conditioning net's sigmoid nodes take it as
+    # their backward, so the model must be conditional, and the marginals' derivative
+    # chain no longer matches the table's curvature
     fc, doc = load_model(os.path.join(RUNS, "conditional_d2_model.json"))
     ds = load_csv(os.path.join(os.path.dirname(RUNS), "data", "conditional_d2.csv"),
                   load_spec_from_doc(doc))
     x, y = fc.feature_scaler.transform(ds.features[:64]), ds.targets[:64]
     assert grad_check(fc.net, fc.arch, y, x, max_coords=40) <= 1e-4
-
-    def doubled(a):
-        out = np_sigmoid(ad.value(a))
-        return ad.custom(a, out, lambda g: 2.0 * g * out * (1.0 - out))
-
+    value, slope, curvature = activations._TABLE["sigmoid"]
     monkeypatch.setitem(activations._TABLE, "sigmoid",
-                        (doubled,) + activations._TABLE["sigmoid"][1:])
+                        (value, lambda x, z: 2.0 * slope(x, z), curvature))
     assert grad_check(fc.net, fc.arch, y, x, max_coords=40) > 1e-4
 
 

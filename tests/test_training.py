@@ -204,6 +204,12 @@ def softplus(a):
     return ad.custom(a, np.logaddexp(0.0, av), lambda g: g * np_sigmoid(av))
 
 
+def tanh(a):
+    """The correlation squash with a slope of its own, none shared with ``combine_adjoint``."""
+    out = np.tanh(ad.value(a))
+    return ad.custom(a, out, lambda g: g * (1.0 - out * out))
+
+
 # z'(pre) on the tape, from z = activations.apply(kind, pre); relu's step is a constant
 TAPED_SLOPE = {
     "sigmoid": lambda pre, z: ad.mul(z, ad.add(1.0, -z)),
@@ -244,7 +250,7 @@ def taped_density(raw, arch, targets):
         inv = reciprocal(ad.add(take(psi, (..., slice(1, 2))), -lower))
         cdfs.append(ad.reshape(ad.mul(ad.add(take(psi, (..., slice(2, None))), -lower), inv), (n,)))
         pdfs.append(ad.reshape(ad.mul(take(dpsi, (..., slice(2, None))), inv), (n,)))
-    c = ad.tanh(take(raw, (..., slice(c0, c1))))
+    c = tanh(take(raw, (..., slice(c0, c1))))
     v = [ad.add(1.0, ad.mul(f, -2.0)) for f in cdfs]
     pairs = copula.pair_indices(arch.dim)
     total = 0.0
@@ -346,11 +352,17 @@ def test_adjoint_mutants_fail_grad_check_and_the_tape_oracle(monkeypatch):
                        LoadSpec(target_columns=["y1", "y2"])).targets[:64]
     assert grad_check(net, arch, targets) <= 1e-4
     assert adjoint_error(net, arch, targets) <= 1e-12
-    mutants = [(marginal, "_slope_adjoint", lambda *args: 0.0),  # no z'' in the derivative chain
-               (copula, "_tanh_slope", lambda c: 1.0)]          # no (1 - C^2)
-    for module, name, wrong in mutants:
+    value, _, curvature = activations._TABLE["tanh"]
+    mutants = {
+        "no z'' in the derivative chain":
+            lambda patch: patch.setattr(marginal, "_slope_adjoint", lambda *args: 0.0),
+        "no (1 - C^2) in the table's tanh slope":
+            lambda patch: patch.setitem(activations._TABLE, "tanh",
+                                        (value, lambda x, z: 1.0, curvature)),
+    }
+    for name, mutate in mutants.items():
         with monkeypatch.context() as patch:
-            patch.setattr(module, name, wrong)
+            mutate(patch)
             assert grad_check(net, arch, targets) > 1e-4, name
             assert adjoint_error(net, arch, targets) > 1e-12, name
 
